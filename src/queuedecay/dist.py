@@ -11,12 +11,14 @@ bit from a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
+from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 
 class OutOfDomainError(ValueError):
@@ -25,6 +27,10 @@ class OutOfDomainError(ValueError):
 
 class OutOfRangeError(ValueError):
     """Target value outside the invertible range of a transform."""
+
+
+class NumericalFailure(RuntimeError):
+    """A search ran out of budget, or met a NaN or an overflow."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,10 @@ class ConditionedBelow:
             raise ValueError("cutoff must be positive")
 
 
-DistributionSpec = Union[
-    Exponential, Deterministic, UniformInterval, Erlang, FiniteMixture,
-    ConditionedBelow,
-]
+# a PEP 604 union: typing.Union caches its aliases process-wide, which
+# would keep the classes of every earlier import of this module alive
+DistributionSpec = (Exponential | Deterministic | UniformInterval | Erlang
+                    | FiniteMixture | ConditionedBelow)
 
 @dataclass(frozen=True)
 class MgfDomain:
@@ -119,36 +125,53 @@ def _erlang_params(base) -> Tuple[int, float]:
     return base.shape, base.rate
 
 
-def _int_power_exp(m: int, theta: float, y: float) -> float:
-    """Integral of x^m * exp(-theta*x) over [0, y], y finite."""
-    if theta == 0.0:
-        return y ** (m + 1) / (m + 1)
-    if theta > 0:
-        return math.factorial(m) / theta ** (m + 1) * float(gammainc(m + 1, theta * y))
-    # theta < 0: all-positive series, no cancellation
-    a = -theta
-    c = y ** (m + 1)
-    p = 1.0
-    total = 0.0
-    for j in range(100000):
-        term = p * c / (m + j + 1)
-        total += term
-        if term < total * 1e-18:
-            break
-        p *= a * y / (j + 1)
-    return total
+def _per_spec(compute):
+    # memoise a constant of a frozen spec on the instance, outside its
+    # fields, so that equality and hashing are unchanged
+    name = "_" + compute.__name__
+
+    @functools.wraps(compute)
+    def cached(d):
+        try:
+            return d.__dict__[name]
+        except KeyError:
+            value = d.__dict__[name] = compute(d)
+            return value
+    return cached
 
 
+@_per_spec
 def _cond_parts(d: ConditionedBelow) -> Tuple[int, float, float]:
     k, rate = _erlang_params(d.base)
-    den = float(gammainc(k, rate * d.cutoff))
-    return k, rate, den
+    return k, rate, float(gammainc(k, rate * d.cutoff))
 
 
-def _gamma_coeff(k: int, rate: float) -> float:
-    return rate ** k / math.factorial(k - 1)
+def _cond_moment(d: ConditionedBelow, j: int, s: float) -> float:
+    """E[X^j exp(s X)] of the Erlang(k, rate) law conditioned below the cutoff.
+
+    For theta = rate - s > 0 it is (rate/theta)^k k (k+1) ... (k+j-1)
+    P(k+j, theta*cutoff) / (theta^j den), which forms no rate^k or (k-1)!
+    on its own; otherwise an all-positive series, cut short at overflow."""
+    k, rate, den = _cond_parts(d)
+    theta = rate - s
+    if theta > 0:
+        rising = math.prod(range(k, k + j))
+        return ((rate / theta) ** k * float(gammainc(k + j, theta * d.cutoff))
+                * rising / theta ** j / den)
+    # rate^k / (k-1)! * integral of x^m e^{a x} over [0, y], m = k-1+j, a = -theta
+    m, a, y = k - 1 + j, -theta, d.cutoff
+    p = y ** (m + 1)
+    total = 0.0
+    for i in range(100000):
+        term = p / (m + i + 1)
+        total += term
+        if term < total * 1e-18 or math.isinf(total):
+            break
+        p *= a * y / (i + 1)
+    return rate ** k / math.factorial(k - 1) * total / den
 
 
+@_per_spec
 def mgf_abscissa(d: DistributionSpec) -> MgfDomain:
     """Abscissa of convergence of the mgf; +inf for bounded support."""
     if isinstance(d, (Exponential, Erlang)):
@@ -182,8 +205,7 @@ def _mgf(d, s):
     if isinstance(d, Erlang):
         return (d.rate / (d.rate - s)) ** d.shape
     if isinstance(d, ConditionedBelow):
-        k, rate, den = _cond_parts(d)
-        return _gamma_coeff(k, rate) * _int_power_exp(k - 1, rate - s, d.cutoff) / den
+        return _cond_moment(d, 0, s)
     return math.fsum(w * _mgf(c, s) for w, c in d.components)
 
 
@@ -214,10 +236,9 @@ def _mgf_deriv(d, s):
         g = math.expm1(x) / x
         return math.exp(s * d.lo) * (d.lo * g + h * _uniform_slope(x))
     if isinstance(d, Erlang):
-        return d.shape * d.rate ** d.shape / (d.rate - s) ** (d.shape + 1)
+        return d.shape / (d.rate - s) * (d.rate / (d.rate - s)) ** d.shape
     if isinstance(d, ConditionedBelow):
-        k, rate, den = _cond_parts(d)
-        return _gamma_coeff(k, rate) * _int_power_exp(k, rate - s, d.cutoff) / den
+        return _cond_moment(d, 1, s)
     return math.fsum(w * _mgf_deriv(c, s) for w, c in d.components)
 
 
@@ -232,11 +253,8 @@ def moments(d: DistributionSpec) -> Tuple[float, float]:
     if isinstance(d, Erlang):
         return d.shape / d.rate, d.shape / d.rate ** 2
     if isinstance(d, ConditionedBelow):
-        k, rate, den = _cond_parts(d)
-        coeff = _gamma_coeff(k, rate)
-        m1 = coeff * _int_power_exp(k, rate, d.cutoff) / den
-        m2 = coeff * _int_power_exp(k + 1, rate, d.cutoff) / den
-        return m1, m2 - m1 * m1
+        m1 = _cond_moment(d, 1, 0.0)
+        return m1, _cond_moment(d, 2, 0.0) - m1 * m1
     parts = [(w,) + moments(c) for w, c in d.components]
     mean = math.fsum(w * m for w, m, _ in parts)
     msq = math.fsum(w * (v + m * m) for w, m, v in parts)
@@ -303,12 +321,93 @@ def prob_below(d: DistributionSpec, x: float) -> float:
     return cdf(d, x) - atom_at(d, x)
 
 
+def sf(d: DistributionSpec, x: float) -> float:
+    """P(X > x), per variant, so that a tiny tail does not round to 0."""
+    if isinstance(d, (Exponential, Erlang)):
+        k, rate = _erlang_params(d)
+        return float(gammaincc(k, rate * x)) if x > 0 else 1.0
+    if isinstance(d, Deterministic):
+        return 1.0 if x < d.value else 0.0
+    if isinstance(d, UniformInterval):
+        return min(1.0, max(0.0, (d.hi - x) / (d.hi - d.lo)))
+    if isinstance(d, ConditionedBelow):
+        if x <= 0:
+            return 1.0
+        if x >= d.cutoff:
+            return 0.0
+        k, rate, den = _cond_parts(d)
+        # P(x < base < cutoff) from whichever side of the base law is small
+        if den < 0.5:
+            return (den - float(gammainc(k, rate * x))) / den
+        return (float(gammaincc(k, rate * x))
+                - float(gammaincc(k, rate * d.cutoff))) / den
+    return math.fsum(w * sf(c, x) for w, c in d.components)
+
+
+def _value(x: float, f, *args) -> float:
+    try:
+        fx = f(x, *args)
+    except OverflowError as exc:
+        raise NumericalFailure(f"{f.__name__} overflows at {x!r}") from exc
+    if math.isnan(fx):
+        raise NumericalFailure(f"{f.__name__} is NaN at {x!r}")
+    return fx
+
+
+def _bracket_value(x: float, ends: dict, f, *args) -> float:
+    # brentq opens by evaluating both ends, which the bracket search holds
+    return ends.pop(x) if x in ends else _value(x, f, *args)
+
+
+def find_root(f, args: tuple, lo: float, f_lo: float, points) -> Optional[float]:
+    """The root of ``f(x, *args)``, which is ``f_lo`` <= 0 at ``lo`` and rises
+    through zero once to its right; the first of the increasing ``points``
+    where f > 0 closes the bracket, and None means there is none.
+
+    An infinite end (a domain edge, an overflow) moves inward by bisection,
+    then Brent's method (Brent 1973) solves to 4 machine epsilons relative.
+    f is module-level: brentq's wrapper refers to itself, so a closure
+    would live on until the cyclic collector runs.  A NaN, an overflow f
+    lets escape, or no convergence raises NumericalFailure."""
+    if math.isnan(f_lo):
+        raise NumericalFailure(f"{f.__name__} is NaN at {lo!r}")
+    for x in points:
+        f_x = _value(x, f, *args)
+        if f_x > 0:
+            hi, f_hi = x, f_x
+            break
+        lo, f_lo = x, f_x
+    else:
+        return None
+    while math.isinf(f_lo) or math.isinf(f_hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NumericalFailure(f"{f.__name__} has no finite bracket near {mid!r}")
+        f_mid = _value(mid, f, *args)
+        if f_mid > 0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    try:
+        # rtol: the smallest brentq accepts; xtol: no absolute floor
+        return brentq(_bracket_value, lo, hi, args=({lo: f_lo, hi: f_hi}, f) + args,
+                      xtol=5e-324, rtol=4.0 * np.finfo(float).eps)
+    except NumericalFailure:
+        raise
+    except RuntimeError as exc:
+        raise NumericalFailure(str(exc)) from exc
+
+
+def _mgf_gap(u: float, d, v: float) -> float:
+    return v - _mgf(d, -u)
+
+
 def inverse_mgf_neg(d: DistributionSpec, v: float) -> float:
     """The unique u >= 0 with mgf(d, -u) = v.
 
     The map u -> mgf(d, -u) decreases continuously from 1 toward P(X=0),
-    so v must lie in (P(X=0), 1].  Bisection after bracket doubling,
-    absolute tolerance 1e-12 in u.
+    so v must lie in (P(X=0), 1].  The bracket doubles from [0, 1], then
+    :func:`find_root` solves to machine precision relative in u.
     """
     if v > 1.0:
         raise OutOfRangeError(f"v={v} exceeds mgf(d, 0) = 1")
@@ -317,22 +416,11 @@ def inverse_mgf_neg(d: DistributionSpec, v: float) -> float:
         raise OutOfRangeError(f"v={v} at or below inf mgf(d, -u) = {floor}")
     if v == 1.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(1100):
-        if _mgf(d, -hi) < v:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
+    u = find_root(_mgf_gap, (d, v), 0.0, v - 1.0,
+                  (2.0 ** k for k in range(1024)))
+    if u is None:
         raise OutOfRangeError(f"v={v} too close to the infimum to bracket")
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if _mgf(d, -mid) > v:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return u
 
 
 def _condition_below(d: DistributionSpec, y: float) -> DistributionSpec:

@@ -4,36 +4,36 @@ Everything reduces to three primitives: the workload rate ``gamma_w``
 (unique positive root of Phi_A(-s) Phi_B(s) = 1), the busy-period rate
 ``gamma_p`` (concave program sup {s - psi(s)}), and low-priority /
 shortest-remaining-processing-time variants built on the thinned
-arrival stream.  One-dimensional searches are bisection for roots and
-golden-section for concave maxima; derivatives appear only in regime
-guards and in the reported initial-workload fraction ``a``.
+arrival stream.  Every search is one bracketed Brent root finder,
+:func:`dist.find_root`; a concave maximum is the root of its first-order
+condition psi'(s) = 1, or the end of its interval when psi' < 1 there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .dist import (
     Deterministic,
     DistributionSpec,
     Exponential,
     FiniteMixture,
+    NumericalFailure,
     OutOfDomainError,
     OutOfRangeError,
-    cdf,
     ess_inf,
     ess_sup,
+    find_root,
     from_json,
     inverse_mgf_neg,
     mgf,
     mgf_abscissa,
     mgf_deriv,
     moments,
+    sf,
     split_endpoint_atom,
-    thinned_arrival_mgf,
-    thinned_arrival_mgf_deriv,
     to_json,
     truncate_below,
 )
@@ -47,15 +47,8 @@ class NoDelaysError(ValueError):
     """Service time never exceeds an inter-arrival time."""
 
 
-class NumericalFailure(RuntimeError):
-    """An expansion or iteration budget was exhausted."""
-
-
-_ROOT_TOL = 1e-12
-_GOLDEN_TOL = 1e-12
 _MAX_EXPAND = 200
 _DOMAIN_MARGIN = 1.0 - 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -176,102 +169,43 @@ def _usable_cap(d: DistributionSpec) -> float:
     return s_max if math.isinf(s_max) else s_max * _DOMAIN_MARGIN
 
 
-def _neg_inf_on_error(f: Callable[[float], float]) -> Callable[[float], float]:
-    def wrapped(s):
-        try:
-            return f(s)
-        except (OutOfDomainError, OutOfRangeError, OverflowError):
-            return -math.inf
-    return wrapped
+def _doublings():
+    return (2.0 ** k for k in range(_MAX_EXPAND))
 
 
-def _diverging(g: Callable[[float], float]) -> Callable[[float], float]:
-    def wrapped(s):
-        try:
-            return g(s)
-        except (OutOfDomainError, OverflowError):
-            return math.inf
-    return wrapped
+def _lundberg(s: float, arrival, service) -> float:
+    # (Phi_A(-s) Phi_B(s) - 1) / s, the chord slope of a convex map through
+    # the origin: rises from the mean drift near 0 through zero at gamma_w
+    try:
+        return (mgf(arrival, -s) * mgf(service, s) - 1.0) / s
+    except (OutOfDomainError, OverflowError):
+        return math.inf
 
 
-def _positive_root(g: Callable[[float], float], cap: float) -> Optional[float]:
-    # g(0) = 0, g dips negative, at most one positive crossing; None when
-    # g stays nonpositive all the way to a finite domain boundary
-    lo = 0.0
-    hi = None
-    if math.isinf(cap):
-        h = 1.0
-        for _ in range(_MAX_EXPAND):
-            if g(h) > 0.0:
-                hi = h
-                break
-            lo = h
-            h *= 2.0
-        if hi is None:
-            raise NumericalFailure("no sign change within the expansion budget")
-    else:
-        for k in range(1, 60):
-            h = cap * (1.0 - 0.5 ** k)
-            if h <= lo:
-                continue
-            if g(h) > 0.0:
-                hi = h
-                break
-            lo = h
-        if hi is None:
-            return None
-    for _ in range(200):
-        if hi - lo <= _ROOT_TOL * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _psi_slope(arrival, service, s: float, u: float) -> float:
+    # psi'(s) at u = psi(s) from Phi_A(-u) Phi_B(s) = 1: (Phi_B'/Phi_B)(s) /
+    # (Phi_A'/Phi_A)(-u), where Phi_A(-u) = 1 / Phi_B(s)
+    phi_b = mgf(service, s)
+    return (mgf_deriv(service, s) / phi_b) / (mgf_deriv(arrival, -u) * phi_b)
 
 
-def _expand_peak(f: Callable[[float], float]) -> float:
-    # right end of a bracket containing the max of a concave f, f(0) = 0
-    hi = 1.0
-    fh = f(hi)
-    for _ in range(_MAX_EXPAND):
-        f2 = f(2.0 * hi)
-        if f2 <= fh:
-            return 2.0 * hi
-        hi *= 2.0
-        fh = f2
-    raise NumericalFailure("no concave turnover within the expansion budget")
+def _slope_excess(s: float, arrival, service) -> float:
+    # psi'(s) - 1, rising through zero at the argmax of s - psi(s); +inf
+    # where psi is not defined
+    try:
+        return _psi_slope(arrival, service, s, psi(arrival, service, s)) - 1.0
+    except (OutOfDomainError, OutOfRangeError, OverflowError):
+        return math.inf
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float
-                ) -> Tuple[float, float]:
-    """Maximize a concave f on [lo, hi]; returns (argmax, max).
-
-    Evaluation failures upstream must already map to -inf so the search
-    retreats from inadmissible regions.
-    """
-    tol = _GOLDEN_TOL * max(1.0, abs(hi))
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_v = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(300):
-        if hi - lo <= tol:
-            break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-            if f1 > best_v:
-                best_x, best_v = x1, f1
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-            if f2 > best_v:
-                best_x, best_v = x2, f2
-    return best_x, best_v
+def _argmax(arrival, service, end: float) -> float:
+    # argmax of the concave s - psi(s) on [0, end]
+    points = _doublings() if math.isinf(end) else (end,)
+    s_opt = find_root(_slope_excess, (arrival, service), 0.0,
+                      _slope_excess(0.0, arrival, service), points)
+    if s_opt is None and math.isinf(end):
+        raise NumericalFailure("no concave turnover within the expansion budget")
+    return end if s_opt is None else s_opt
 
 
 def psi(arrival: DistributionSpec, service: DistributionSpec, s: float) -> float:
@@ -281,60 +215,28 @@ def psi(arrival: DistributionSpec, service: DistributionSpec, s: float) -> float
         raise ValueError("s must be nonnegative")
     if s == 0.0:
         return 0.0
-    v = 1.0 / mgf(service, s)
-    if v > 1.0:
-        v = 1.0    # mgf(service, s) >= 1 for s >= 0; guard rounding
-    return inverse_mgf_neg(arrival, v)
+    # mgf(service, s) >= 1 for s >= 0; min guards rounding
+    return inverse_mgf_neg(arrival, min(1.0, 1.0 / mgf(service, s)))
+
+
+def _class1_service(p: float, class1: DistributionSpec) -> DistributionSpec:
+    # class1 with probability p and zero otherwise: the p-thinned stream's
+    # equation Phi_A1(-u) Phi_B1(s) = 1 is Phi_A(-u) (p Phi_B1(s) + 1 - p) = 1
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly inside (0, 1)")
+    return FiniteMixture(((p, class1), (1.0 - p, Deterministic(0.0))))
 
 
 def psi1(arrival: DistributionSpec, p: float, class1: DistributionSpec,
          s: float) -> float:
     """psi of the class-1 subsystem seen through the p-thinned arrival
-    stream: the unique u >= 0 with Phi_A1(-u) * Phi_B1(s) = 1."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    v = 1.0 / mgf(class1, s)
-    if v > 1.0:
-        v = 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(1100):
-        if thinned_arrival_mgf(arrival, p, -hi) < v:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise OutOfRangeError("target below the thinned-mgf infimum")
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if thinned_arrival_mgf(arrival, p, -mid) > v:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    stream: the unique u >= 0 with Phi_A1(-u) * Phi_B1(s) = 1, computed as
+    psi against the service law that is class1 with probability p and
+    zero otherwise, which solves the same equation."""
+    return psi(arrival, _class1_service(p, class1), s)
 
 
-def psi1_dual(arrival: DistributionSpec, p: float, class1: DistributionSpec,
-              s: float) -> float:
-    """Same map computed without thinning: psi against the service law
-    that is class1 with probability p and zero otherwise."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    mixed = FiniteMixture(((p, class1), (1.0 - p, Deterministic(0.0))))
-    return psi(arrival, mixed, s)
-
-
-def _psi1_deriv(arrival, p, class1, s, u: Optional[float] = None) -> float:
-    # implicit differentiation of Phi_A1(-u(s)) * Phi_B1(s) = 1
-    if u is None:
-        u = psi1(arrival, p, class1, s)
-    phi_b = mgf(class1, s)
-    den = thinned_arrival_mgf_deriv(arrival, p, -u)
-    return mgf_deriv(class1, s) / (den * phi_b * phi_b)
+psi1_dual = psi1
 
 
 def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:
@@ -344,12 +246,26 @@ def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:
     mgf domain, in which case the sup-definition yields the abscissa
     s_max(B) itself rather than a root.
     """
-    arrival, service = model.arrival, model.service
-    g = _diverging(lambda s: mgf(arrival, -s) * mgf(service, s) - 1.0)
-    root = _positive_root(g, _usable_cap(service))
-    if root is None:
-        return mgf_abscissa(service).s_max, True
-    return root, False
+    args = (model.arrival, model.service)
+    cap = _usable_cap(model.service)
+    if math.isinf(cap):
+        points = _doublings()
+    else:
+        points = (cap * (1.0 - 0.5 ** k) for k in range(1, 60))
+    # near 0 the Lundberg function cancels to rounding noise that can read
+    # exactly 0, so the bracket's left end is halved down, never 0
+    lo = next(points)
+    f_lo = _lundberg(lo, *args)
+    while f_lo > 0:
+        points = iter((lo,))
+        lo *= 0.5
+        f_lo = _lundberg(lo, *args)
+    root = find_root(_lundberg, args, lo, f_lo, points)
+    if root is not None:
+        return root, False
+    if math.isinf(cap):
+        raise NumericalFailure("no sign change within the expansion budget")
+    return mgf_abscissa(model.service).s_max, True
 
 
 def gamma_w(model: QueueModel) -> float:
@@ -360,11 +276,8 @@ def gamma_w(model: QueueModel) -> float:
 def gamma_p_detail(model: QueueModel) -> Tuple[float, float]:
     """(gamma_p, argmax) of the concave program sup_{s>=0} {s - psi(s)}."""
     arrival, service = model.arrival, model.service
-    f = _neg_inf_on_error(lambda s: s - psi(arrival, service, s))
-    cap = _usable_cap(service)
-    hi = cap if not math.isinf(cap) else _expand_peak(f)
-    s_opt, value = _golden_max(f, 0.0, hi)
-    return value, s_opt
+    s_opt = _argmax(arrival, service, _usable_cap(service))
+    return s_opt - psi(arrival, service, s_opt), s_opt
 
 
 def gamma_p(model: QueueModel) -> float:
@@ -397,18 +310,21 @@ def gamma_w2(model: QueueModel) -> PriorityDecay:
     """
     if model.split is None:
         raise ValueError("model has no class split")
+    return _gamma_w2(model, gamma_w(model))
+
+
+def _gamma_w2(model: QueueModel, gw: float) -> PriorityDecay:
     arrival = model.arrival
-    p, class1 = model.split.p, model.split.class1
-    gw, _ = gamma_w_detail(model)
-    cap1 = _usable_cap(class1)
+    service1 = _class1_service(model.split.p, model.split.class1)
+    cap1 = _usable_cap(service1)
     if gw < cap1:
-        u_gw = psi1(arrival, p, class1, gw)
-        slope = _psi1_deriv(arrival, p, class1, gw, u_gw)
+        u_gw = psi(arrival, service1, gw)
+        slope = _psi_slope(arrival, service1, gw, u_gw)
         if slope < 1.0:
             return PriorityDecay(gw - u_gw, "boundary", gw, 1.0 - slope)
-    f = _neg_inf_on_error(lambda s: s - psi1(arrival, p, class1, s))
-    s_opt, value = _golden_max(f, 0.0, min(gw, cap1))
-    return PriorityDecay(value, "interior", s_opt, 0.0)
+    s_opt = _argmax(arrival, service1, min(gw, cap1))
+    return PriorityDecay(s_opt - psi(arrival, service1, s_opt), "interior",
+                         s_opt, 0.0)
 
 
 def gamma_v_srpt(model: QueueModel) -> SrptDecay:
@@ -424,7 +340,7 @@ def gamma_v_srpt(model: QueueModel) -> SrptDecay:
         return SrptDecay(gamma_w(model), "deterministic")
     aux = QueueModel(model.arrival,
                      split=Split(1.0 - q, class1, Deterministic(x_b)))
-    return SrptDecay(gamma_w2(aux).rate, "atom")
+    return SrptDecay(_gamma_w2(aux, gamma_w(model)).rate, "atom")
 
 
 def poisson_rates(lam: float, service: Optional[DistributionSpec] = None,
@@ -445,9 +361,8 @@ def poisson_rates(lam: float, service: Optional[DistributionSpec] = None,
         raise ValueError("lam must be positive")
     model = QueueModel(Exponential(lam), service, split)
     service = model.service
-    g = _diverging(lambda s: lam * (mgf(service, s) - 1.0) - s)
-    gw = _positive_root(g, _usable_cap(service))
-    if gw is None:
+    gw, boundary = gamma_w_detail(model)
+    if boundary:
         raise NumericalFailure("no root of the arrival-rate fixed point")
     gw2 = None
     guards = []
@@ -481,34 +396,28 @@ def poisson_rates(lam: float, service: Optional[DistributionSpec] = None,
     return PoissonRates(gw, gw2, gv, guard)
 
 
+def _cutoff_excess(y: float, model: QueueModel, gw: float) -> float:
+    # gamma_w - gamma_p_trunc(y), rising through zero at y*
+    return gw - gamma_p_trunc(model, y)
+
+
 def y_star(model: QueueModel) -> CriticalTruncation:
     """Largest service-time cutoff whose truncated busy-period rate still
     reaches gamma_w, with the service tail mass P(B > y*) beside it.
 
-    Bisection on the nonincreasing map y -> gamma_p_trunc(y) - gamma_w.
-    For a degenerate service law the cutoff is its value, exactly.
+    The root of the nonincreasing map y -> gamma_p_trunc(y) - gamma_w,
+    bracketed by doubling and solved to machine precision relative; the
+    tail mass comes from the survival function, so it keeps its digits
+    when tiny.  For a degenerate service law the cutoff is its value.
     """
     q, x_b, _ = split_endpoint_atom(model.service)
     if q >= 1.0:
         return CriticalTruncation(x_b, 0.0)
     gw = gamma_w(model)
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_EXPAND):
-        if gamma_p_trunc(model, hi) < gw:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
+    value = find_root(_cutoff_excess, (model, gw), 0.0, -math.inf, _doublings())
+    if value is None:
         raise NumericalFailure("no finite cutoff bracket; load may be degenerate")
-    for _ in range(200):
-        if hi - lo <= 1e-10 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if gamma_p_trunc(model, mid) >= gw:
-            lo = mid
-        else:
-            hi = mid
-    value = 0.5 * (lo + hi)
-    return CriticalTruncation(value, 1.0 - cdf(model.service, value))
+    return CriticalTruncation(value, sf(model.service, value))
 
 
 def heavy_traffic(model: QueueModel) -> HeavyTrafficApprox:
@@ -535,7 +444,7 @@ def decay_report(model: QueueModel) -> DecayReport:
     regime = s_opt = a_frac = None
     gw2 = None
     if model.split is not None:
-        pr = gamma_w2(model)
+        pr = _gamma_w2(model, gw)
         gw2, regime, s_opt, a_frac = pr.rate, pr.regime, pr.s_opt, pr.a
     if q == 0.0:
         gv, case = gp, "no-atom"
@@ -544,7 +453,7 @@ def decay_report(model: QueueModel) -> DecayReport:
     else:
         aux = QueueModel(model.arrival,
                          split=Split(1.0 - q, class1, Deterministic(x_b)))
-        pr = gamma_w2(aux)
+        pr = _gamma_w2(aux, gw)
         gv, case = pr.rate, "atom"
         if regime is None:
             regime, s_opt, a_frac = pr.regime, pr.s_opt, pr.a

@@ -375,19 +375,19 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
         g = _arrival_gaps(model, rng, horizon)
         gaps.append(g)
         services.append(sample_array(model.service, rng, len(g)))
-    a = np.concatenate(gaps)
-    sb = s * np.concatenate(services)
-    log_n = math.log(len(a))
-
-    def excess(theta: float) -> float:
-        return float(logsumexp(sb - theta * a)) - log_n
-
+    args = (s * np.concatenate(services), np.concatenate(gaps))
     hi = 1.0
-    while excess(hi) >= 0.0:
+    while _cycle_excess(hi, *args) >= 0.0:
         hi *= 2.0
         if math.isinf(hi):
             raise NumericalFailure("no finite root bracket for the cycle equation")
-    return float(brentq(excess, 0.0, hi))
+    # the arrays go through args, not a closure: brentq's wrapper refers to
+    # itself, so whatever it holds lives on until the cyclic collector runs
+    return float(brentq(_cycle_excess, 0.0, hi, args=args))
+
+
+def _cycle_excess(theta: float, sb: np.ndarray, a: np.ndarray) -> float:
+    return float(logsumexp(sb - theta * a)) - math.log(len(a))
 
 
 def _arrival_gaps(model, rng, horizon) -> np.ndarray:

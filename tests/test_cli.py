@@ -282,3 +282,36 @@ def test_validate_quick_reports_honest_failure(capsys, monkeypatch):
     assert lines[1].startswith("criterion  2 ")
     assert "FAIL" in lines[1]
     assert code == 1
+
+
+NAN_SPLIT = {"arrival": {"type": "deterministic", "value": 1.0},
+             "split": {"p": 0.769,
+                       "class1": {"type": "conditioned_below",
+                                  "base": {"type": "erlang", "shape": 2,
+                                           "rate": 2.864},
+                                  "cutoff": 0.775},
+                       "class2": {"type": "conditioned_below",
+                                  "base": {"type": "erlang", "shape": 2,
+                                           "rate": 2.753},
+                                  "cutoff": 1.0098}}}
+LARGE_ERLANG = {"arrival": {"type": "exponential", "rate": 0.5},
+                "service": {"type": "erlang", "shape": 2000, "rate": 2000.0}}
+
+
+def test_nan_in_the_search_is_a_numerical_failure(capsys, model_file):
+    assert main(["rates", "--model", model_file(NAN_SPLIT)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure:") and "NaN" in err
+
+
+def test_large_erlang_shape_ends_with_a_message(capsys, model_file):
+    path = model_file(LARGE_ERLANG)
+    assert main(["rates", "--model", path]) == 0
+    capsys.readouterr()
+    code = main(["rates", "--model", path, "--ystar"])
+    out, err = capsys.readouterr()
+    assert code in (0, 3)
+    if code == 3:
+        assert err.startswith("error: numerical failure:") and out == ""
+    else:
+        assert "y_star" in json.loads(out)

@@ -10,6 +10,7 @@ from queuedecay.dist import (
     Erlang,
     Exponential,
     FiniteMixture,
+    NumericalFailure,
     OutOfDomainError,
     OutOfRangeError,
     UniformInterval,
@@ -17,6 +18,7 @@ from queuedecay.dist import (
     cdf,
     ess_inf,
     ess_sup,
+    find_root,
     from_json,
     inverse_mgf_neg,
     mgf,
@@ -26,6 +28,7 @@ from queuedecay.dist import (
     prob_below,
     sample,
     sample_array,
+    sf,
     split_endpoint_atom,
     stream,
     thinned_arrival_mgf,
@@ -319,3 +322,95 @@ def test_constructor_validation():
         FiniteMixture(((0.5, Exponential(1.0)), (0.6, Exponential(2.0))))
     with pytest.raises(ValueError):
         Deterministic(-1.0)
+
+
+def test_sf_is_the_complement_of_cdf():
+    for d in VARIANTS:
+        for x in (-1.0, 0.0, 0.3, 0.9, 1.3, 1.99, 2.0, 5.0):
+            assert sf(d, x) == pytest.approx(1.0 - cdf(d, x), abs=1e-14)
+
+
+def test_sf_keeps_tiny_tails():
+    # 1 - cdf rounds these to 0; the survival function keeps their digits
+    assert sf(Exponential(1.0), 50.0) == pytest.approx(math.exp(-50.0),
+                                                       rel=1e-14, abs=0.0)
+    erlang = Erlang(3, 1.0)
+    x = 60.0
+    tail = math.exp(-x) * (1.0 + x + x * x / 2.0)
+    assert 1.0 - cdf(erlang, x) == 0.0
+    assert sf(erlang, x) == pytest.approx(tail, rel=1e-12, abs=0.0)
+    mix = FiniteMixture(((0.5, Exponential(1.0)), (0.5, Deterministic(1.0))))
+    assert sf(mix, 50.0) == pytest.approx(0.5 * math.exp(-50.0),
+                                          rel=1e-14, abs=0.0)
+    cond = ConditionedBelow(Exponential(1.0), 60.0)
+    x = 40.0
+    want = (math.exp(-x) - math.exp(-60.0)) / -math.expm1(-60.0)
+    assert sf(cond, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_conditioned_large_shape_stays_finite():
+    # rate**k alone overflows for Erlang(2000, 2000); the mgf does not
+    d = ConditionedBelow(Erlang(2000, 2000.0), 1.05)
+    m1, var = moments(d)
+    assert 0.99 < m1 < 1.0 and 0.0 < var < 1e-3
+    for s in (0.5, 1.0, 2.0):
+        h = 1e-6
+        fd = (mgf(d, s + h) - mgf(d, s - h)) / (2 * h)
+        assert math.isfinite(mgf(d, s))
+        assert mgf_deriv(d, s) == pytest.approx(fd, rel=1e-6, abs=0.0)
+
+
+def test_conditioned_mgf_agrees_across_the_rate():
+    # theta = rate - s changes sign at s = rate: the closed form on one side
+    # and the series on the other meet there
+    d = ConditionedBelow(Erlang(2, 1.5), 1.0)
+    for f in (mgf, mgf_deriv):
+        below, above = f(d, 1.5 - 1e-9), f(d, 1.5 + 1e-9)
+        assert below == pytest.approx(above, rel=1e-7, abs=0.0)
+        assert f(d, 1.5) == pytest.approx(below, rel=1e-7, abs=0.0)
+
+
+def test_find_root_fails_fast_on_nan():
+    calls = []
+    with pytest.raises(NumericalFailure, match="NaN"):
+        find_root(_nan_right_of_one, (calls,), 0.0, -1.0, (1.0, 2.0, 4.0))
+    assert calls == [1.0, 2.0]
+
+
+def test_find_root_rejects_a_nan_left_end():
+    with pytest.raises(NumericalFailure, match="NaN"):
+        find_root(_nan_right_of_one, ([],), 2.0, math.nan, (4.0,))
+
+
+def _nan_right_of_one(x, calls):
+    calls.append(x)
+    return -1.0 if x <= 1.0 else math.nan
+
+
+def test_find_root_turns_overflow_into_numerical_failure():
+    with pytest.raises(NumericalFailure, match="overflow"):
+        find_root(_overflows, (), 0.0, -1.0, (1.0,))
+
+
+def _overflows(x):
+    return 10.0 ** 400 if x > 0 else -1.0
+
+
+def test_find_root_steps_in_from_an_infinite_end():
+    # f = -inf on (0, 0.5] and +inf past 3: the bracket shrinks to finite ends
+    root = find_root(_finite_on_middle, (), 0.0, -math.inf, (1.0, 2.0, 4.0))
+    assert root == pytest.approx(1.5, rel=1e-15, abs=0.0)
+    assert find_root(_finite_on_middle, (), 0.0, -math.inf, (1.0,)) is None
+
+
+def _finite_on_middle(x):
+    if x <= 0.5:
+        return -math.inf
+    return x - 1.5 if x < 3.0 else math.inf
+
+
+def test_inverse_mgf_neg_is_exact_to_rounding():
+    d = Exponential(2.0)
+    for u in (1e-4, 0.3, 7.0, 1e6):
+        v = 2.0 / (2.0 + u)
+        assert inverse_mgf_neg(d, v) == pytest.approx(u, rel=1e-9, abs=0.0)

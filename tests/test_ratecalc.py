@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from queuedecay import dist
 from queuedecay.dist import (
     ConditionedBelow,
     Deterministic,
@@ -15,6 +16,7 @@ from queuedecay.dist import (
 )
 from queuedecay.ratecalc import (
     NoDelaysError,
+    NumericalFailure,
     QueueModel,
     Split,
     UnstableError,
@@ -309,3 +311,72 @@ def test_rates_work_with_erlang_and_conditioned_laws():
     assert mgf(model.arrival, -gw) * mgf(model.service, gw) == \
         pytest.approx(1.0, abs=1e-9)
     assert 0.0 < gamma_p(model) < gw
+
+
+# D(1) arrivals against service support barely above them: the Lundberg
+# search meets 0 * inf once the conditioned mgf overflows
+NAN_SPLIT = QueueModel(
+    Deterministic(1.0),
+    split=Split(0.769, ConditionedBelow(Erlang(2, 2.864), 0.775),
+                ConditionedBelow(Erlang(2, 2.753), 1.0098)))
+
+
+def _count_mgf(monkeypatch):
+    calls = [0]
+    original = dist._mgf
+
+    def counted(d, s):
+        calls[0] += 1
+        return original(d, s)
+    monkeypatch.setattr(dist, "_mgf", counted)
+    return calls
+
+
+def test_nan_in_the_search_fails_fast(monkeypatch):
+    calls = _count_mgf(monkeypatch)
+    for solve in (gamma_w, decay_report, y_star):
+        calls[0] = 0
+        with pytest.raises(NumericalFailure, match="NaN"):
+            solve(NAN_SPLIT)
+        assert calls[0] < 200
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.01, 0.5, 0.9, 0.99, 0.999, 0.9999])
+def test_mm1_rates_are_relatively_exact(rho):
+    model = QueueModel(Exponential(rho), Exponential(1.0))
+    assert gamma_w(model) == pytest.approx(1.0 - rho, rel=1e-7, abs=0.0)
+    assert gamma_p(model) == pytest.approx((1.0 - math.sqrt(rho)) ** 2,
+                                           rel=1e-7, abs=0.0)
+
+
+def test_gamma_p_is_at_least_the_grid_maximum():
+    model = QueueModel(Erlang(2, 2.0), ConditionedBelow(Exponential(1.0), 2.0))
+    grid = np.linspace(0.0, gamma_w(model), 20001)
+    best = max(s - psi(model.arrival, model.service, s) for s in grid)
+    assert gamma_p(model) >= best - 1e-9
+
+
+def test_gamma_w2_interior_is_at_least_the_grid_maximum():
+    model = QueueModel(UniformInterval(0.5, 1.5),
+                       split=Split(0.5, Exponential(3.0), UniformInterval(0.0, 1.0)))
+    d = gamma_w2(model)
+    assert d.regime == "interior"
+    p, class1 = model.split.p, model.split.class1
+    grid = np.linspace(0.0, gamma_w(model), 20001)
+    best = max(s - psi1(model.arrival, p, class1, s) for s in grid)
+    assert d.rate >= best - 1e-9
+
+
+def test_search_work_stays_bounded(monkeypatch):
+    calls = _count_mgf(monkeypatch)
+    decay_report(MM1)
+    assert calls[0] <= 400
+    calls[0] = 0
+    y_star(MM1)
+    assert calls[0] <= 5000
+
+
+def test_y_star_tail_prob_at_tiny_load():
+    crit = y_star(QueueModel(Exponential(1e-6), Exponential(1.0)))
+    assert crit.tail_prob > 0.0
+    assert crit.tail_prob == pytest.approx(math.exp(-crit.value), rel=1e-9, abs=0.0)

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,3 +274,20 @@ def test_csv_export_schema(tmp_path):
     buf = io.StringIO()
     write_records_csv(out, buf)
     assert buf.getvalue().splitlines() == lines
+
+
+def test_cycle_psi_frees_its_pooled_arrays():
+    # brentq's wrapper refers to itself, so a function closing over the
+    # pooled arrays would keep them alive until the cyclic collector runs
+    cycle_psi(MM1, 0.25, 500.0, 200, 3)      # warm up lazy imports
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cycle_psi(MM1, 0.25, 500.0, 200, 3)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    pooled = 2 * 8 * 0.5 * 500.0 * 200     # two arrays of about lambda t n floats
+    assert grown < 0.05 * pooled
