@@ -13,7 +13,6 @@ from .dist import (
     Erlang,
     Exponential,
     FiniteMixture,
-    MgfDomain,
     OutOfDomainError,
     OutOfRangeError,
     UniformInterval,
@@ -28,12 +27,9 @@ from .dist import (
     mgf_deriv,
     moments,
     prob_below,
-    sample,
     sample_array,
     split_endpoint_atom,
     stream,
-    thinned_arrival_mgf,
-    thinned_arrival_mgf_deriv,
     to_json,
     truncate_below,
 )
@@ -63,18 +59,14 @@ from .ratecalc import (
     poisson_rates,
     psi,
     psi1,
-    psi1_dual,
     y_star,
 )
 from .simqueue import (
-    CustomerRecord,
     Discipline,
     SimOutput,
-    busy_periods,
     busy_to_csv,
     empirical_psi,
     lindley_workload,
-    records_to_csv,
     run,
     service_bins,
 )

@@ -19,14 +19,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .dist import moments
 from .ratecalc import (NoDelaysError, NumericalFailure, QueueModel,
-                       UnstableError, decay_report, gamma_p_trunc, gamma_w,
-                       gamma_w2, gamma_v_srpt, model_from_json, model_to_json,
-                       y_star)
+                       UnstableError, decay_report, gamma_p_trunc,
+                       model_from_json, model_to_json, y_star)
 from .simqueue import Discipline, run, service_bins, write_records_csv
 from .tailest import DegenerateTailError, compare_rates, fit_decay
 from .validate import run_all
@@ -35,22 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_UNSTABLE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model_path: Optional[str] = None
-    discipline: str = "fifo"
-    customers: int = 100_000
-    seed: int = 0
-    warmup: float = 0.2
-    rho_grid: str = "0.05:0.95:0.05"
-    bins: Optional[float] = None
-    output: str = "json"
-    out: Optional[str] = None
-    quick: bool = False
-    with_ystar: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,21 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for field in ("discipline", "customers", "seed", "warmup", "bins",
-                  "output", "out", "quick"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if hasattr(args, "model"):
-        cfg.model_path = args.model
-    if hasattr(args, "ystar"):
-        cfg.with_ystar = args.ystar
-    if hasattr(args, "rho_grid"):
-        cfg.rho_grid = args.rho_grid
-    return cfg
-
-
 def _load_model(path: str) -> QueueModel:
     try:
         with open(path) as fh:
@@ -150,15 +117,15 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_rates(config: RunConfig) -> str:
-    model = _load_model(config.model_path)
+def cmd_rates(args: argparse.Namespace) -> str:
+    model = _load_model(args.model)
     report = decay_report(model)
     doc = {"model": model_to_json(model), "report": report.to_json()}
-    if config.with_ystar:
+    if args.ystar:
         crit = y_star(model)
         doc["y_star"] = crit.value
         doc["p_exceed"] = crit.tail_prob
-    if config.output == "json":
+    if args.output == "json":
         return _json_text(doc)
     lines = ["key,value"]
     for key, value in doc["report"].items():
@@ -166,7 +133,7 @@ def cmd_rates(config: RunConfig) -> str:
             lines.append(f"{key},")
         else:
             lines.append(f"{key},{value}")
-    if config.with_ystar:
+    if args.ystar:
         lines.append(f"y_star,{doc['y_star']}")
         lines.append(f"p_exceed,{doc['p_exceed']}")
     return "\n".join(lines) + "\n"
@@ -187,12 +154,11 @@ def _fit_block(samples, analytic: Optional[float], tolerance: float = 0.1,
     return block
 
 
-def cmd_simulate(config: RunConfig) -> str:
-    model = _load_model(config.model_path)
-    discipline = Discipline(config.discipline)
-    out = run(model, discipline, config.customers, config.seed,
-              config.warmup)
-    if config.output == "csv":
+def cmd_simulate(args: argparse.Namespace) -> str:
+    model = _load_model(args.model)
+    discipline = Discipline(args.discipline)
+    out = run(model, discipline, args.customers, args.seed, args.warmup)
+    if args.output == "csv":
         import io
         buf = io.StringIO()
         write_records_csv(out, buf)
@@ -202,21 +168,21 @@ def cmd_simulate(config: RunConfig) -> str:
     srpt = discipline in (Discipline.SRPT_PR, Discipline.SRPT_NP)
     prio = discipline in (Discipline.PRIO_PR, Discipline.PRIO_NP)
 
-    waiting_target = gamma_w(model) if discipline is Discipline.FIFO else None
-    sojourn_target = gamma_v_srpt(model).rate if srpt else None
+    waiting_target = report.gamma_w if discipline is Discipline.FIFO else None
+    sojourn_target = report.gamma_v if srpt else None
     fits = {
         "waiting": _fit_block(out.waiting(), waiting_target),
         "sojourn": _fit_block(out.sojourn(), sojourn_target),
     }
     if model.split is not None and prio:
         two = out.customer_class[out.kept()] == 2
-        target2 = gamma_w2(model).rate
+        target2 = report.gamma_w2
         fits["class2_waiting"] = _fit_block(out.waiting()[two], target2)
         fits["class2_sojourn"] = _fit_block(out.sojourn()[two], target2)
 
     bins_doc = None
-    if config.bins is not None:
-        width = config.bins
+    if args.bins is not None:
+        width = args.bins
         if width == 0.0:
             width = 0.1 * moments(model.service)[0]
         bins_doc = []
@@ -237,12 +203,12 @@ def cmd_simulate(config: RunConfig) -> str:
     doc = {
         "model": model_to_json(model),
         "discipline": discipline.value,
-        "customers": config.customers,
-        "seed": config.seed,
-        "warmup": config.warmup,
+        "customers": args.customers,
+        "seed": args.seed,
+        "warmup": args.warmup,
         "analytic": report.to_json(),
         "summary": {
-            "served": out.served,
+            "served": out.n,
             "total_time": out.total_time,
             "busy_periods": int(len(out.busy_durations)),
             "mean_busy": float(out.busy_durations.mean()),
@@ -273,10 +239,10 @@ def _parse_grid(text: str) -> List[float]:
     return grid
 
 
-def cmd_ystar_curve(config: RunConfig) -> str:
+def cmd_ystar_curve(args: argparse.Namespace) -> str:
     from .dist import Exponential
     rows = []
-    for rho in _parse_grid(config.rho_grid):
+    for rho in _parse_grid(args.rho_grid):
         try:
             model = QueueModel(Exponential(rho), Exponential(1.0))
             crit = y_star(model)
@@ -285,7 +251,7 @@ def cmd_ystar_curve(config: RunConfig) -> str:
         except (ValueError, NumericalFailure) as exc:
             rows.append({"rho": rho, "y_star": None, "p_exceed": None,
                          "error": str(exc)})
-    if config.output == "json":
+    if args.output == "json":
         return _json_text({"family": "mm1-unit-mean-service", "rows": rows})
     lines = ["rho,y_star,p_exceed,error"]
     for row in rows:
@@ -297,12 +263,12 @@ def cmd_ystar_curve(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(config: RunConfig) -> Tuple[str, int]:
-    results = run_all(quick=config.quick)
+def cmd_validate(args: argparse.Namespace) -> Tuple[str, int]:
+    results = run_all(quick=args.quick)
     lines = [r.line() for r in results]
     passed = sum(r.passed for r in results)
     lines.append(f"passed {passed}/{len(results)}"
-                 + (" (quick mode)" if config.quick else ""))
+                 + (" (quick mode)" if args.quick else ""))
     text = "\n".join(lines) + "\n"
     if any(r.numerical_failure for r in results):
         return text, EXIT_NUMERICAL
@@ -315,16 +281,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    config = _config_from_args(args)
     try:
-        if config.command == "rates":
-            text = cmd_rates(config)
-        elif config.command == "simulate":
-            text = cmd_simulate(config)
-        elif config.command == "ystar-curve":
-            text = cmd_ystar_curve(config)
+        if args.command == "rates":
+            text = cmd_rates(args)
+        elif args.command == "simulate":
+            text = cmd_simulate(args)
+        elif args.command == "ystar-curve":
+            text = cmd_ystar_curve(args)
         else:
-            text, code = cmd_validate(config)
+            text, code = cmd_validate(args)
             sys.stdout.write(text)
             return code
     except UnstableError as exc:
@@ -340,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _emit(text, config.out)
+        _emit(text, args.out)
     except BrokenPipeError:
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -2,17 +2,17 @@
 
 Declarative specs (exponential, deterministic, uniform interval, Erlang,
 finite mixture) closed under the transforms a single-server queue analysis
-needs: truncation B*1(B<y), conditioning on {B < y}, endpoint-atom removal,
-and renewal thinning of an arrival stream.  Every moment generating
-function is closed form; no quadrature anywhere.  Sampling is inverse
-transform driven by ``rng.random()`` so streams are reproducible bit for
-bit from a seed.
+needs: truncation B*1(B<y), conditioning on {B < y} and endpoint-atom
+removal.  Every moment generating function is closed form; no quadrature
+anywhere.  Sampling is inverse transform driven by ``rng.random()`` so
+streams are reproducible bit for bit from a seed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -38,8 +38,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError("value must be nonnegative")
+        if not 0 <= self.value < math.inf:
+            raise ValueError("value must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class UniformInterval:
     hi: float
 
     def __post_init__(self):
-        if not (0 <= self.lo < self.hi):
-            raise ValueError("need 0 <= lo < hi")
+        if not (0 <= self.lo < self.hi < math.inf):
+            raise ValueError("need 0 <= lo < hi < inf")
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if self.shape != int(self.shape) or self.shape < 1:
+        if not 1 <= self.shape < math.inf or self.shape != int(self.shape):
             raise ValueError("shape must be a positive integer")
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,14 @@ class ConditionedBelow:
     def __post_init__(self):
         if not isinstance(self.base, (Exponential, Erlang)):
             raise ValueError("base must be Exponential or Erlang")
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be positive and finite")
 
 
 # a PEP 604 union: typing.Union caches its aliases process-wide, which
 # would keep the classes of every earlier import of this module alive
 DistributionSpec = (Exponential | Deterministic | UniformInterval | Erlang
                     | FiniteMixture | ConditionedBelow)
-
-@dataclass(frozen=True)
-class MgfDomain:
-    s_max: float
-    finite_at_boundary: bool
 
 
 def _erlang_params(base) -> Tuple[int, float]:
@@ -172,14 +167,13 @@ def _cond_moment(d: ConditionedBelow, j: int, s: float) -> float:
 
 
 @_per_spec
-def mgf_abscissa(d: DistributionSpec) -> MgfDomain:
+def mgf_abscissa(d: DistributionSpec) -> float:
     """Abscissa of convergence of the mgf; +inf for bounded support."""
     if isinstance(d, (Exponential, Erlang)):
-        return MgfDomain(d.rate, False)
+        return d.rate
     if isinstance(d, FiniteMixture):
-        s_max = min(mgf_abscissa(c).s_max for _, c in d.components)
-        return MgfDomain(s_max, math.isinf(s_max))
-    return MgfDomain(math.inf, True)
+        return min(mgf_abscissa(c) for _, c in d.components)
+    return math.inf
 
 
 def mgf(d: DistributionSpec, s: float) -> float:
@@ -187,7 +181,7 @@ def mgf(d: DistributionSpec, s: float) -> float:
 
     Raises OutOfDomainError when s >= s_max(d).
     """
-    if s >= mgf_abscissa(d).s_max:
+    if s >= mgf_abscissa(d):
         raise OutOfDomainError(f"s={s} at or beyond abscissa of convergence")
     return _mgf(d, s)
 
@@ -211,7 +205,7 @@ def _mgf(d, s):
 
 def mgf_deriv(d: DistributionSpec, s: float) -> float:
     """E[X exp(s X)], the derivative of the mgf."""
-    if s >= mgf_abscissa(d).s_max:
+    if s >= mgf_abscissa(d):
         raise OutOfDomainError(f"s={s} at or beyond abscissa of convergence")
     return _mgf_deriv(d, s)
 
@@ -471,32 +465,6 @@ def split_endpoint_atom(
     return q, x_b, _condition_below(d, x_b)
 
 
-def thinned_arrival_mgf(arrival: DistributionSpec, p: float, s: float) -> float:
-    """Mgf of the inter-arrival time of a p-thinned renewal stream.
-
-    A geometric(p) sum of original inter-arrival times:
-    p*Phi_A(s) / (1 - (1-p)*Phi_A(s)).
-    """
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    phi = mgf(arrival, s)
-    rest = (1.0 - p) * phi
-    if rest >= 1.0:
-        raise OutOfDomainError("thinned geometric series diverges")
-    return p * phi / (1.0 - rest)
-
-
-def thinned_arrival_mgf_deriv(arrival: DistributionSpec, p: float, s: float) -> float:
-    """Derivative in s of thinned_arrival_mgf."""
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    phi = mgf(arrival, s)
-    rest = (1.0 - p) * phi
-    if rest >= 1.0:
-        raise OutOfDomainError("thinned geometric series diverges")
-    return p * mgf_deriv(arrival, s) / (1.0 - rest) ** 2
-
-
 def stream(seed: int, index: int) -> np.random.Generator:
     """Named substream: generator index of the family rooted at seed."""
     return np.random.default_rng(
@@ -538,10 +506,6 @@ def sample_array(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.nd
     return out
 
 
-def sample(d: DistributionSpec, rng: np.random.Generator) -> float:
-    return float(sample_array(d, rng, 1)[0])
-
-
 def to_json(d: DistributionSpec) -> dict:
     if isinstance(d, Exponential):
         return {"type": "exponential", "rate": d.rate}
@@ -559,26 +523,45 @@ def to_json(d: DistributionSpec) -> dict:
                            for w, c in d.components]}
 
 
+def json_number(obj: dict, key: str, integral: bool = False):
+    """Field ``key`` of a JSON object as a float, or as an int when
+    ``integral``; a bool, a non-number, a value that is not finite or a
+    fractional integral field is a ValueError."""
+    value = obj[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if not integral:
+        return float(value)
+    if value != int(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def from_json(obj: dict) -> DistributionSpec:
     """Parse the JSON object form; raises ValueError on malformed input."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("distribution JSON must be an object with a 'type'")
     t = obj["type"]
-    if t == "exponential":
-        return Exponential(float(obj["rate"]))
-    if t == "deterministic":
-        return Deterministic(float(obj["value"]))
-    if t == "uniform":
-        return UniformInterval(float(obj["lo"]), float(obj["hi"]))
-    if t == "erlang":
-        return Erlang(int(obj["shape"]), float(obj["rate"]))
-    if t == "conditioned_below":
-        base = from_json(obj["base"])
-        if not isinstance(base, (Exponential, Erlang)):
-            raise ValueError("conditioned_below base must be exponential or erlang")
-        return ConditionedBelow(base, float(obj["cutoff"]))
-    if t == "mixture":
-        comps = tuple((float(c["weight"]), from_json(c["dist"]))
-                      for c in obj["components"])
-        return FiniteMixture(comps)
+    try:
+        if t == "exponential":
+            return Exponential(json_number(obj, "rate"))
+        if t == "deterministic":
+            return Deterministic(json_number(obj, "value"))
+        if t == "uniform":
+            return UniformInterval(json_number(obj, "lo"), json_number(obj, "hi"))
+        if t == "erlang":
+            return Erlang(json_number(obj, "shape", integral=True),
+                          json_number(obj, "rate"))
+        if t == "conditioned_below":
+            base = from_json(obj["base"])
+            if not isinstance(base, (Exponential, Erlang)):
+                raise ValueError("conditioned_below base must be exponential or erlang")
+            return ConditionedBelow(base, json_number(obj, "cutoff"))
+        if t == "mixture":
+            comps = tuple((json_number(c, "weight"), from_json(c["dist"]))
+                          for c in obj["components"])
+            return FiniteMixture(comps)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {t!r} distribution: {exc!r}") from exc
     raise ValueError(f"unknown distribution type {t!r}")

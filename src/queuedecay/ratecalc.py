@@ -28,6 +28,7 @@ from .dist import (
     find_root,
     from_json,
     inverse_mgf_neg,
+    json_number,
     mgf,
     mgf_abscissa,
     mgf_deriv,
@@ -90,7 +91,8 @@ class QueueModel:
         mean_a = moments(self.arrival)[0]
         mean_b = moments(self.service)[0]
         if not mean_b < mean_a:
-            raise UnstableError(f"load {mean_b / mean_a:.6g} is not below 1")
+            load = mean_b / mean_a if mean_a > 0 else math.inf
+            raise UnstableError(f"load {load:.6g} is not below 1")
         if not ess_sup(self.service) > ess_inf(self.arrival):
             raise NoDelaysError("service never exceeds an inter-arrival time")
 
@@ -165,7 +167,7 @@ class DecayReport:
 
 
 def _usable_cap(d: DistributionSpec) -> float:
-    s_max = mgf_abscissa(d).s_max
+    s_max = mgf_abscissa(d)
     return s_max if math.isinf(s_max) else s_max * _DOMAIN_MARGIN
 
 
@@ -236,9 +238,6 @@ def psi1(arrival: DistributionSpec, p: float, class1: DistributionSpec,
     return psi(arrival, _class1_service(p, class1), s)
 
 
-psi1_dual = psi1
-
-
 def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:
     """(gamma_w, boundary_flag).
 
@@ -265,7 +264,7 @@ def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:
         return root, False
     if math.isinf(cap):
         raise NumericalFailure("no sign change within the expansion budget")
-    return mgf_abscissa(model.service).s_max, True
+    return mgf_abscissa(model.service), True
 
 
 def gamma_w(model: QueueModel) -> float:
@@ -333,14 +332,24 @@ def gamma_v_srpt(model: QueueModel) -> SrptDecay:
     q = 0 gives the busy-period rate, q = 1 the workload rate, and
     0 < q < 1 the low-priority rate of the auxiliary model in which the
     endpoint atom is the low class."""
-    q, x_b, class1 = split_endpoint_atom(model.service)
+    return _srpt(model, *split_endpoint_atom(model.service))[0]
+
+
+def _srpt(model: QueueModel, q: float, x_b: float,
+          class1: Optional[DistributionSpec], gw: Optional[float] = None,
+          gp: Optional[float] = None) -> Tuple[SrptDecay, Optional[PriorityDecay]]:
+    # the dispatch on q, with the auxiliary program in the atom case; a
+    # rate given as None is solved only when the case needs it
     if q == 0.0:
-        return SrptDecay(gamma_p(model), "no-atom")
+        return SrptDecay(gamma_p(model) if gp is None else gp, "no-atom"), None
+    if gw is None:
+        gw = gamma_w(model)
     if q >= 1.0:
-        return SrptDecay(gamma_w(model), "deterministic")
+        return SrptDecay(gw, "deterministic"), None
     aux = QueueModel(model.arrival,
                      split=Split(1.0 - q, class1, Deterministic(x_b)))
-    return SrptDecay(_gamma_w2(aux, gamma_w(model)).rate, "atom")
+    pr = _gamma_w2(aux, gw)
+    return SrptDecay(pr.rate, "atom"), pr
 
 
 def poisson_rates(lam: float, service: Optional[DistributionSpec] = None,
@@ -441,26 +450,20 @@ def decay_report(model: QueueModel) -> DecayReport:
     gw, _ = gamma_w_detail(model)
     gp, _ = gamma_p_detail(model)
     q, x_b, class1 = split_endpoint_atom(model.service)
-    regime = s_opt = a_frac = None
+    sv, pr = _srpt(model, q, x_b, class1, gw, gp)
     gw2 = None
     if model.split is not None:
+        # the split's program, not the atom case's auxiliary one, gives
+        # regime, s_opt and a
         pr = _gamma_w2(model, gw)
-        gw2, regime, s_opt, a_frac = pr.rate, pr.regime, pr.s_opt, pr.a
-    if q == 0.0:
-        gv, case = gp, "no-atom"
-    elif q >= 1.0:
-        gv, case = gw, "deterministic"
-    else:
-        aux = QueueModel(model.arrival,
-                         split=Split(1.0 - q, class1, Deterministic(x_b)))
-        pr = _gamma_w2(aux, gw)
-        gv, case = pr.rate, "atom"
-        if regime is None:
-            regime, s_opt, a_frac = pr.regime, pr.s_opt, pr.a
+        gw2 = pr.rate
+    regime = s_opt = a_frac = None
+    if pr is not None:
+        regime, s_opt, a_frac = pr.regime, pr.s_opt, pr.a
     ht = heavy_traffic(model)
-    return DecayReport(gamma_w=gw, gamma_p=gp, gamma_w2=gw2, gamma_v=gv,
+    return DecayReport(gamma_w=gw, gamma_p=gp, gamma_w2=gw2, gamma_v=sv.rate,
                        regime=regime, s_opt=s_opt, a=a_frac, K=ht.K,
-                       rho=model.rho, q=q, x_b=x_b, case=case)
+                       rho=model.rho, q=q, x_b=x_b, case=sv.case)
 
 
 def model_to_json(model: QueueModel) -> dict:
@@ -481,8 +484,11 @@ def model_from_json(obj: dict) -> QueueModel:
     arrival = from_json(obj["arrival"])
     if obj.get("split") is not None:
         sp = obj["split"]
-        split = Split(float(sp["p"]), from_json(sp["class1"]),
-                      from_json(sp["class2"]))
+        try:
+            split = Split(json_number(sp, "p"), from_json(sp["class1"]),
+                          from_json(sp["class2"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed split: {exc!r}") from exc
         return QueueModel(arrival, split=split)
     if "service" not in obj:
         raise ValueError("model JSON needs a 'service' law or a 'split'")

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -40,17 +40,6 @@ class Discipline(Enum):
     SRPT_NP = "srpt-np"
     PRIO_PR = "prio-pr"
     PRIO_NP = "prio-np"
-
-
-@dataclass(frozen=True)
-class CustomerRecord:
-    index: int
-    arrival_time: float
-    service_time: float
-    customer_class: int          # 0 when the model has no split
-    first_service_start: float
-    departure_time: float
-    workload_at_arrival: float
 
 
 @dataclass
@@ -74,10 +63,6 @@ class SimOutput:
         return len(self.arrival_time)
 
     @property
-    def served(self) -> int:
-        return self.n
-
-    @property
     def total_time(self) -> float:
         return float(self.departure_time.max())
 
@@ -91,13 +76,6 @@ class SimOutput:
     def sojourn(self) -> np.ndarray:
         k = self.kept()
         return self.departure_time[k] - self.arrival_time[k]
-
-    def records(self) -> Iterator[CustomerRecord]:
-        for i in range(self.warmup, self.n):
-            yield CustomerRecord(
-                i, float(self.arrival_time[i]), float(self.service_time[i]),
-                int(self.customer_class[i]), float(self.first_service_start[i]),
-                float(self.departure_time[i]), float(self.workload_at_arrival[i]))
 
 
 def lindley_workload(interarrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
@@ -127,13 +105,6 @@ def _busy_spans(arrival, service, workload) -> Tuple[np.ndarray, np.ndarray]:
     end = arrival[last] + (workload[last] + service[last])
     starts = arrival[idx]
     return starts, end - starts
-
-
-def busy_periods(out: SimOutput) -> np.ndarray:
-    """Durations of maximal intervals with positive unfinished work,
-    recomputed from the retained streams (identical across disciplines)."""
-    return _busy_spans(out.arrival_time, out.service_time,
-                       out.workload_at_arrival)[1]
 
 
 def _two_sum(a: float, b: float) -> Tuple[float, float]:
@@ -441,19 +412,10 @@ def write_records_csv(out: SimOutput, fh) -> None:
                          repr(float(row[5])), repr(float(row[6]))])
 
 
-def records_to_csv(out: SimOutput, path: str) -> None:
-    """Post-warmup records, one row per customer."""
-    with open(path, "w", newline="") as fh:
-        write_records_csv(out, fh)
-
-
-def write_busy_csv(out: SimOutput, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["start", "duration"])
-    for s, d in zip(out.busy_starts, out.busy_durations):
-        writer.writerow([repr(float(s)), repr(float(d))])
-
-
 def busy_to_csv(out: SimOutput, path: str) -> None:
+    """Busy periods, one ``start,duration`` row each."""
     with open(path, "w", newline="") as fh:
-        write_busy_csv(out, fh)
+        writer = csv.writer(fh)
+        writer.writerow(["start", "duration"])
+        for s, d in zip(out.busy_starts, out.busy_durations):
+            writer.writerow([repr(float(s)), repr(float(d))])

@@ -21,7 +21,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import dist
 from .dist import (ConditionedBelow, Deterministic, Erlang, Exponential,
                    FiniteMixture, OutOfDomainError, UniformInterval, mgf,
                    mgf_deriv, sample_array, stream)

@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .dist import (Deterministic, Erlang, Exponential, FiniteMixture,
                    UniformInterval)
-from .ratecalc import (NumericalFailure, QueueModel, Split, gamma_p, gamma_v_srpt,
-                       gamma_w, gamma_w2, heavy_traffic, poisson_rates, y_star)
+from .ratecalc import (NumericalFailure, QueueModel, Split, decay_report, gamma_p,
+                       gamma_v_srpt, gamma_w, gamma_w2, heavy_traffic,
+                       poisson_rates, y_star)
 from .simqueue import Discipline, cycle_psi, empirical_psi, run
 from .tailest import compare_rates, fit_decay, fits_agree, is_workload_tail
 
@@ -162,9 +163,8 @@ def _crit_srpt_simulation(quick: bool) -> Tuple[bool, str]:
     n = 100_000 if quick else 2_000_000
     tol = 0.30 if quick else 0.15
     floor = 0.05 if quick else 0.02
-    gv = gamma_v_srpt(model).rate
-    gp = gamma_p(model)
-    gw = gamma_w(model)
+    report = decay_report(model)
+    gv, gp, gw = report.gamma_v, report.gamma_p, report.gamma_w
     pr = run(model, Discipline.SRPT_PR, n, 12345)
     fit_pr = fit_decay(pr.sojourn())
     np_ = run(model, Discipline.SRPT_NP, n, 12345)

@@ -315,3 +315,39 @@ def test_large_erlang_shape_ends_with_a_message(capsys, model_file):
         assert err.startswith("error: numerical failure:") and out == ""
     else:
         assert "y_star" in json.loads(out)
+
+
+EXP1 = {"type": "exponential", "rate": 1.0}
+BAD_MODEL_FILES = {
+    "missing-rate": ({"arrival": {"type": "exponential"}, "service": EXP1}, 1),
+    "split-without-class2": ({"arrival": EXP1,
+                              "split": {"p": 0.5, "class1": EXP1}}, 1),
+    "component-without-dist": (
+        {"arrival": {"type": "exponential", "rate": 0.5},
+         "service": {"type": "mixture", "components": [{"weight": 1.0}]}}, 1),
+    "infinite-rate": ({"arrival": {"type": "exponential", "rate": math.inf},
+                       "service": EXP1}, 1),
+    "fractional-shape": ({"arrival": {"type": "exponential", "rate": 0.5},
+                          "service": {"type": "erlang", "shape": 2.5,
+                                      "rate": 5.0}}, 1),
+    "bool-rate": ({"arrival": {"type": "exponential", "rate": True},
+                   "service": {"type": "exponential", "rate": 2.0}}, 1),
+    "zero-mean-arrivals": ({"arrival": {"type": "deterministic", "value": 0},
+                            "service": EXP1}, 2),
+}
+
+
+@pytest.mark.parametrize("name", BAD_MODEL_FILES)
+def test_bad_model_file_ends_with_one_error_line(capsys, model_file, name):
+    doc, expected = BAD_MODEL_FILES[name]
+    assert main(["rates", "--model", model_file(doc)]) == expected
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integral_float_shape_reads_as_an_integer(capsys, model_file):
+    doc = {"arrival": {"type": "exponential", "rate": 0.5},
+           "service": {"type": "erlang", "shape": 2.0, "rate": 4.0}}
+    assert main(["rates", "--model", model_file(doc)]) == 0
+    shape = json.loads(capsys.readouterr().out)["model"]["service"]["shape"]
+    assert shape == 2 and isinstance(shape, int)

@@ -26,13 +26,10 @@ from queuedecay.dist import (
     mgf_deriv,
     moments,
     prob_below,
-    sample,
     sample_array,
     sf,
     split_endpoint_atom,
     stream,
-    thinned_arrival_mgf,
-    thinned_arrival_mgf_deriv,
     to_json,
     truncate_below,
 )
@@ -49,8 +46,8 @@ VARIANTS = [
 
 
 def _domain_points(d):
-    dom = mgf_abscissa(d)
-    hi = min(dom.s_max, 3.0) if math.isfinite(dom.s_max) else 3.0
+    s_max = mgf_abscissa(d)
+    hi = min(s_max, 3.0) if math.isfinite(s_max) else 3.0
     return np.linspace(-2.0, 0.95 * hi, 9)
 
 
@@ -93,11 +90,11 @@ def test_moments_match_mgf_derivative_at_zero(d):
 
 
 def test_mgf_domain_boundaries():
-    assert mgf_abscissa(Exponential(0.7)).s_max == 0.7
-    assert math.isinf(mgf_abscissa(Deterministic(2.0)).s_max)
-    assert math.isinf(mgf_abscissa(ConditionedBelow(Exponential(1.0), 2.0)).s_max)
+    assert mgf_abscissa(Exponential(0.7)) == 0.7
+    assert math.isinf(mgf_abscissa(Deterministic(2.0)))
+    assert math.isinf(mgf_abscissa(ConditionedBelow(Exponential(1.0), 2.0)))
     mix = FiniteMixture(((0.5, Exponential(1.0)), (0.5, Erlang(2, 3.0))))
-    assert mgf_abscissa(mix).s_max == 1.0
+    assert mgf_abscissa(mix) == 1.0
     with pytest.raises(OutOfDomainError):
         mgf(Exponential(0.7), 0.7)
     with pytest.raises(OutOfDomainError):
@@ -198,38 +195,6 @@ def test_split_endpoint_atom_edge_cases():
     assert q == 1.0 and x_b == 2.0 and rest is None
 
 
-def test_thinned_arrival_poisson_identity():
-    # thinning a Poisson stream keeps it Poisson with rate p*lam
-    lam, p = 0.8, 0.35
-    d = Exponential(lam)
-    thin = Exponential(p * lam)
-    for s in (-3.0, -1.0, -0.2):
-        assert thinned_arrival_mgf(d, p, s) == pytest.approx(
-            mgf(thin, s), rel=1e-12)
-        h = 1e-6
-        fd = (thinned_arrival_mgf(d, p, s + h)
-              - thinned_arrival_mgf(d, p, s - h)) / (2 * h)
-        assert thinned_arrival_mgf_deriv(d, p, s) == pytest.approx(fd, rel=1e-6)
-
-
-def test_thinned_arrival_p_one_is_identity():
-    d = UniformInterval(0.5, 1.5)
-    for s in (-2.0, -0.5):
-        assert thinned_arrival_mgf(d, 1.0, s) == pytest.approx(mgf(d, s), rel=1e-12)
-
-
-def test_thinned_arrival_domain_error():
-    d = Deterministic(1.0)
-    # at s where (1-p)*mgf >= 1 the geometric sum diverges
-    with pytest.raises(OutOfDomainError):
-        thinned_arrival_mgf(d, 0.5, 1.0)
-    # pinned value of the geometric sum for the deterministic case
-    v = thinned_arrival_mgf(d, 0.5, -1.0)
-    expected = 0.5 * math.exp(-1) / (1 - 0.5 * math.exp(-1))
-    assert v == pytest.approx(expected, rel=1e-12)
-    assert v == pytest.approx(0.2253996736, abs=1e-10)
-
-
 def _ks_statistic(x, cdf_func):
     x = np.sort(x)
     n = x.size
@@ -280,13 +245,6 @@ def test_stream_reproducible_and_indexed():
     assert not np.array_equal(a, c)
 
 
-def test_sample_scalar_matches_array():
-    d = Erlang(2, 1.0)
-    value = sample(d, stream(3, 0))
-    array = sample_array(d, stream(3, 0), 1)
-    assert value == array[0]
-
-
 @pytest.mark.parametrize("d", VARIANTS, ids=lambda d: type(d).__name__)
 def test_json_round_trip(d):
     obj = to_json(d)
@@ -322,6 +280,20 @@ def test_constructor_validation():
         FiniteMixture(((0.5, Exponential(1.0)), (0.6, Exponential(2.0))))
     with pytest.raises(ValueError):
         Deterministic(-1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Exponential(math.inf),
+    lambda: Deterministic(math.inf),
+    lambda: UniformInterval(0.0, math.inf),
+    lambda: Erlang(math.inf, 1.0),
+    lambda: Erlang(2, math.inf),
+    lambda: ConditionedBelow(Exponential(1.0), math.inf),
+], ids=["exponential", "deterministic", "uniform", "erlang-shape",
+        "erlang-rate", "conditioned-below"])
+def test_constructors_reject_infinite_fields(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_sf_is_the_complement_of_cdf():

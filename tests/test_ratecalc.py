@@ -19,6 +19,7 @@ from queuedecay.ratecalc import (
     NumericalFailure,
     QueueModel,
     Split,
+    SrptDecay,
     UnstableError,
     decay_report,
     gamma_p,
@@ -34,7 +35,6 @@ from queuedecay.ratecalc import (
     poisson_rates,
     psi,
     psi1,
-    psi1_dual,
     y_star,
 )
 
@@ -99,12 +99,17 @@ def test_residual_identity_busy_period_from_workload_interval():
 
 
 def test_psi1_dual_agreement():
+    # psi1 goes through the mixture p B1 + (1-p) delta_0; its dual is the
+    # thinned-stream equation p Phi_A(-u) Phi_B1(s) = 1 - (1-p) Phi_A(-u)
     model = ATOM
     p = 0.5
     class1 = UniformInterval(0.0, 0.5)
     for s in np.linspace(0.05, 0.95, 7):
-        assert psi1(model.arrival, p, class1, s) == pytest.approx(
-            psi1_dual(model.arrival, p, class1, s), rel=1e-10, abs=1e-10)
+        u = psi1(model.arrival, p, class1, s)
+        phi_a = mgf(model.arrival, -u)
+        lhs = p * phi_a * mgf(class1, s)
+        rhs = 1.0 - (1.0 - p) * phi_a
+        assert u > 0 and abs(lhs - rhs) <= 1e-12 * rhs
 
 
 def test_gamma_w2_interior_example():
@@ -175,6 +180,25 @@ def test_gamma_v_srpt_dispatch():
     assert atom.case == "atom"
     assert atom.rate == pytest.approx(0.838907347926, abs=1e-9)
     assert gamma_p(ATOM) < atom.rate < gamma_w(ATOM)
+
+
+@pytest.mark.parametrize("model", [
+    MM1, MD1, ATOM, TWO_ATOM,
+    QueueModel(Exponential(1.0), split=Split(0.5, UniformInterval(0.0, 0.5),
+                                             Deterministic(1.0))),
+    QueueModel(Exponential(1.0), split=Split(0.5, Exponential(4.0),
+                                             Exponential(4.0))),
+    QueueModel(UniformInterval(0.5, 2.5), Erlang(3, 4.0)),
+], ids=["mm1", "md1", "atom", "two-atom", "boundary-split", "interior-split",
+        "uniform-erlang"])
+def test_report_fields_equal_the_standalone_rates(model):
+    # the CLI and validate read their fit targets from the report
+    report = decay_report(model)
+    assert (report.gamma_w, report.gamma_p) == (gamma_w(model), gamma_p(model))
+    srpt = gamma_v_srpt(model)
+    assert (report.gamma_v, report.case) == (srpt.rate, srpt.case)
+    if model.split is not None:
+        assert report.gamma_w2 == gamma_w2(model).rate
 
 
 def test_gamma_p_trunc_oracle_value():
@@ -339,6 +363,11 @@ def test_nan_in_the_search_fails_fast(monkeypatch):
         with pytest.raises(NumericalFailure, match="NaN"):
             solve(NAN_SPLIT)
         assert calls[0] < 200
+
+
+def test_gamma_v_srpt_without_an_atom_solves_no_workload_rate():
+    # gamma_w fails on this model, gamma_p does not, and q = 0 needs only it
+    assert gamma_v_srpt(NAN_SPLIT) == SrptDecay(gamma_p(NAN_SPLIT), "no-atom")
 
 
 @pytest.mark.parametrize("rho", [1e-4, 0.01, 0.5, 0.9, 0.99, 0.999, 0.9999])

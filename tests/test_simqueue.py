@@ -16,13 +16,11 @@ from queuedecay.dist import (
 )
 from queuedecay.ratecalc import NumericalFailure, QueueModel, Split, psi
 from queuedecay.simqueue import (
-    CustomerRecord,
     Discipline,
-    busy_periods,
+    busy_to_csv,
     cycle_psi,
     empirical_psi,
     lindley_workload,
-    records_to_csv,
     run,
     service_bins,
     write_records_csv,
@@ -104,7 +102,8 @@ def test_bitwise_determinism():
 
 def test_busy_periods_recompute_and_cover_departures():
     out = run(MM1, Discipline.FIFO, 20_000, 31)
-    assert np.array_equal(busy_periods(out), out.busy_durations)
+    assert np.array_equal(out.busy_starts,
+                          out.arrival_time[out.workload_at_arrival == 0.0])
     starts = out.busy_starts
     ends = starts + out.busy_durations
     span = np.searchsorted(starts, out.arrival_time, side="right") - 1
@@ -165,10 +164,6 @@ def test_warmup_slicing():
     out = run(MM1, Discipline.FIFO, 1000, 1, warmup_fraction=0.3)
     assert out.warmup == 300
     assert len(out.waiting()) == 700
-    records = list(out.records())
-    assert len(records) == 700
-    assert isinstance(records[0], CustomerRecord)
-    assert records[0].index == 300
     zero = run(MM1, Discipline.FIFO, 1000, 1, warmup_fraction=0.0)
     assert zero.warmup == 0 and len(zero.sojourn()) == 1000
 
@@ -263,7 +258,8 @@ def test_service_bins_partition():
 def test_csv_export_schema(tmp_path):
     out = run(SPLIT, Discipline.PRIO_PR, 200, 14)
     path = tmp_path / "records.csv"
-    records_to_csv(out, str(path))
+    with open(path, "w", newline="") as fh:
+        write_records_csv(out, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == ("index,arrival,service,class,first_service,"
                         "departure,workload_at_arrival")
@@ -274,6 +270,16 @@ def test_csv_export_schema(tmp_path):
     buf = io.StringIO()
     write_records_csv(out, buf)
     assert buf.getvalue().splitlines() == lines
+
+
+def test_busy_csv_schema(tmp_path):
+    out = run(MM1, Discipline.FIFO, 500, 14)
+    path = tmp_path / "busy.csv"
+    busy_to_csv(out, str(path))
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0] == ["start", "duration"]
+    assert [float(r[0]) for r in rows[1:]] == out.busy_starts.tolist()
+    assert [float(r[1]) for r in rows[1:]] == out.busy_durations.tolist()
 
 
 def test_cycle_psi_frees_its_pooled_arrays():
