@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import math
 import tracemalloc
@@ -34,6 +35,55 @@ SPLIT = QueueModel(Exponential(1.0),
 
 def _slack(out):
     return 16 * np.spacing(out.total_time)
+
+
+# sha256 over every SimOutput array (native byte order), seeds 1 and 7 in
+# turn, n = 20 000; the figures pin the sample paths bit for bit
+PINNED_MODELS = {
+    "atom": SPLIT,
+    "erlang": QueueModel(Exponential(0.9),
+                         split=Split(0.5, Exponential(2.0), Erlang(2, 1.5))),
+    "det": QueueModel(Exponential(0.5),
+                      split=Split(0.5, Deterministic(1.0), Deterministic(1.0))),
+    "mm1": MM1,
+}
+PINNED_DIGESTS = {
+    ("atom", "fifo"): "a4c785984f88c8000c50e319c16261baa349a4c567ddb8bfdfbf0956fdf85430",
+    ("atom", "lifo-pr"): "e51ed09ae37fb4bff3ca2c81933ed5740175b02fa40eec4f5bb3a5508409f213",
+    ("atom", "srpt-pr"): "2637b83bc29128596e90d276d638920b81f60829ea84efdffa2b22aa1f169e79",
+    ("atom", "srpt-np"): "9c2f4bd6394da26858f4ba9328787f6eb8a913d9cafaed8baa73d4e7eb1bf08a",
+    ("atom", "prio-pr"): "0a845057acbc47fd7a8939e8b33797b4a6dafdc8c278445ea7c012ad3332374b",
+    ("atom", "prio-np"): "94ef94a2771f27b5a5de09bfab46f3a7306065668e44b753fe1e20b4438fd543",
+    ("erlang", "fifo"): "0e5470360ff1c009249ed1e1c198a90d94cce6a9f1c1bebb09c05c1230736f4f",
+    ("erlang", "lifo-pr"): "956769d056f2f0291899097be52dfe322890d38083744b566b84db4f8f506c59",
+    ("erlang", "srpt-pr"): "ea2a1f167fe7a5a835da6d6726f28f770dc15a1a9cd4de2aaa62adc53d451edf",
+    ("erlang", "srpt-np"): "dea7ee7f4161bf325e2d2bf091157d9c04c8b67a8a057d9de36a096ac950447e",
+    ("erlang", "prio-pr"): "913b90f5965ee4218bfb94786e0e6c9da49ed529713c6f15b701a33fd022d212",
+    ("erlang", "prio-np"): "a65891d76b935b48d1b6e62e895d8d0ceccec9d9fe54e26f6c97baaa46bff3ad",
+    ("det", "fifo"): "ee355b5120e87f95275b85d95394943446ee5cec700f723f41e369742f6db89d",
+    ("det", "lifo-pr"): "650b57366f300ef4b5e0f8700a1bfd422cf48217aa52f76d76f97120471a047e",
+    ("det", "srpt-pr"): "ee355b5120e87f95275b85d95394943446ee5cec700f723f41e369742f6db89d",
+    ("det", "srpt-np"): "ee355b5120e87f95275b85d95394943446ee5cec700f723f41e369742f6db89d",
+    ("det", "prio-pr"): "3378868c0332255b9025448cd0ea5c47e3637e0ea584875d8f6abed5e5271f55",
+    ("det", "prio-np"): "1e3a1ef92c59c82414a7584270a0b445a3cdde707d1a4d1735ad74b0e6fea981",
+    ("mm1", "fifo"): "dcff8f0bfcd13b6b0c7a5a921646691fd9de292cce8fe1c52ab8f65f4e4fcab6",
+    ("mm1", "lifo-pr"): "e0b819661c5de4577ad6e4a7dad7f5f10319e136d78c5045a48ee0f98a3d4538",
+    ("mm1", "srpt-pr"): "1f738b7d4d3ef64799b7c1b9e94e799790f8173fb1e5f6995bffab91afcac184",
+    ("mm1", "srpt-np"): "c427008abf1711d254105b83102a3845872fd511ef65183d1ae91c66c4e9aa3a",
+}
+SIM_FIELDS = ("arrival_time", "service_time", "customer_class",
+              "first_service_start", "departure_time", "workload_at_arrival",
+              "busy_starts", "busy_durations")
+
+
+@pytest.mark.parametrize("name,discipline", PINNED_DIGESTS)
+def test_sample_paths_match_pinned_digests(name, discipline):
+    h = hashlib.sha256()
+    for seed in (1, 7):
+        out = run(PINNED_MODELS[name], Discipline(discipline), 20_000, seed)
+        for field in SIM_FIELDS:
+            h.update(getattr(out, field).tobytes())
+    assert h.hexdigest() == PINNED_DIGESTS[name, discipline]
 
 
 def test_lindley_recursion_hand_check():
