@@ -476,20 +476,32 @@ def model_to_json(model: QueueModel) -> dict:
             "service": to_json(model.service)}
 
 
+def _law_from_json(obj, name: str) -> DistributionSpec:
+    # a law whose mean or variance leaves the float range would raise an
+    # arithmetic error deep inside the first computation that uses it
+    d = from_json(obj)
+    try:
+        moments(d)
+    except ArithmeticError as exc:
+        raise ValueError(f"{name} law has a mean or variance outside the "
+                         f"floating-point range") from exc
+    return d
+
+
 def model_from_json(obj: dict) -> QueueModel:
     """Parse {"arrival": DIST, "service": DIST} or
     {"arrival": DIST, "split": {"p", "class1", "class2"}}."""
     if not isinstance(obj, dict) or "arrival" not in obj:
         raise ValueError("model JSON needs an 'arrival' law")
-    arrival = from_json(obj["arrival"])
+    arrival = _law_from_json(obj["arrival"], "arrival")
     if obj.get("split") is not None:
         sp = obj["split"]
         try:
-            split = Split(json_number(sp, "p"), from_json(sp["class1"]),
-                          from_json(sp["class2"]))
+            split = Split(json_number(sp, "p"), _law_from_json(sp["class1"], "class1"),
+                          _law_from_json(sp["class2"], "class2"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed split: {exc!r}") from exc
         return QueueModel(arrival, split=split)
     if "service" not in obj:
         raise ValueError("model JSON needs a 'service' law or a 'split'")
-    return QueueModel(arrival, from_json(obj["service"]))
+    return QueueModel(arrival, _law_from_json(obj["service"], "service"))

@@ -334,6 +334,10 @@ BAD_MODEL_FILES = {
                    "service": {"type": "exponential", "rate": 2.0}}, 1),
     "zero-mean-arrivals": ({"arrival": {"type": "deterministic", "value": 0},
                             "service": EXP1}, 2),
+    "underflowing-variance": ({"arrival": {"type": "exponential", "rate": 1e-300},
+                               "service": EXP1}, 1),
+    "overflowing-variance": ({"arrival": {"type": "uniform", "lo": 0, "hi": 1e308},
+                              "service": EXP1}, 1),
 }
 
 
