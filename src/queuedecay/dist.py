@@ -471,6 +471,9 @@ def stream(seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+_BLOCK = 1 << 20    # uniforms per draw of an Erlang sample
+
+
 def sample_array(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """n inverse-transform draws as a float64 array.
 
@@ -485,8 +488,15 @@ def sample_array(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.nd
     if isinstance(d, UniformInterval):
         return d.lo + (d.hi - d.lo) * rng.random(n)
     if isinstance(d, Erlang):
-        u = rng.random((n, d.shape))
-        return -np.log1p(-u).sum(axis=1) / d.rate
+        # rows of `shape` uniforms, drawn in blocks of at most _BLOCK of
+        # them (one row if the shape is larger); the generator fills in
+        # order, so the draws equal one (n, shape) block
+        rows = max(1, _BLOCK // d.shape)
+        out = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, rows):
+            u = rng.random((min(rows, n - lo), d.shape))
+            out[lo:lo + len(u)] = -np.log1p(-u).sum(axis=1) / d.rate
+        return out
     if isinstance(d, ConditionedBelow):
         u = rng.random(n)
         k, rate = _erlang_params(d.base)

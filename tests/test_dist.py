@@ -237,6 +237,23 @@ def test_sampling_mixture_stream_discipline():
     assert np.array_equal(got, expect)
 
 
+def test_erlang_sampling_in_blocks_equals_one_draw():
+    # 40 000 rows of 64 uniforms span three blocks of 2^20 uniforms
+    d = Erlang(64, 2.0)
+    n = 40_000
+    rng = stream(13, 0)
+    got = sample_array(d, rng, n)
+    one = stream(13, 0)
+    expect = -np.log1p(-one.random((n, 64))).sum(axis=1) / 2.0
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert rng.random() == one.random()
+    # a shape above the block size draws one row at a time
+    big = Erlang((1 << 20) + 1, 1.0)
+    got = sample_array(big, stream(13, 1), 2)
+    expect = -np.log1p(-stream(13, 1).random((2, big.shape))).sum(axis=1)
+    assert np.array_equal(got, expect)
+    assert len(sample_array(d, stream(13, 2), 0)) == 0
+
 def test_stream_reproducible_and_indexed():
     a = stream(42, 0).random(5)
     b = stream(42, 0).random(5)
