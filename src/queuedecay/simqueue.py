@@ -12,18 +12,21 @@ across disciplines whenever the dynamics say they must (the error of a
 recorded time is ~2^-105 before the final rounding, far below the
 spacing of float64).  Workload at arrival and busy periods come from
 the canonical recursion on the shared streams, which makes them
-discipline-independent by construction.
+discipline-independent by construction.  A run splits into a stream
+stage, memoised on (model, n, seed) so that coupled runs share it, and
+one event loop per queue structure.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -107,61 +110,11 @@ def _busy_spans(arrival, service, workload) -> Tuple[np.ndarray, np.ndarray]:
     return starts, end - starts
 
 
-def _two_sum(a: float, b: float) -> Tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_diff(a: float, b: float) -> Tuple[float, float]:
-    s = a - b
-    bb = s - a
-    return s, (a - (s - bb)) - (b + bb)
-
-
-def _dd_start(t: float, rh: float, rl: float) -> Tuple[float, float]:
-    # completion time of a job with remaining (rh, rl) starting at float t
-    s, e = _two_sum(t, rh)
-    lo = rl + e
-    hi = s + lo
-    return hi, lo - (hi - s)
-
-
-def _dd_chain(ch: float, cl: float, rh: float, rl: float) -> Tuple[float, float]:
-    # completion time when starting at the double-double instant (ch, cl)
-    s, e = _two_sum(ch, rh)
-    lo = cl + rl + e
-    hi = s + lo
-    return hi, lo - (hi - s)
-
-
-def _dd_remaining(ch: float, cl: float, t: float) -> Tuple[float, float]:
-    # remaining work of the active job at the exact arrival epoch t
-    s, e = _two_diff(ch, t)
-    lo = cl + e
-    hi = s + lo
-    return hi, lo - (hi - s)
-
-
-def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
-        warmup_fraction: float = 0.2) -> SimOutput:
-    """Simulate n arrivals under one discipline.
-
-    Streams are fixed by the seed alone: substream 0 inter-arrivals,
-    substream 1 class marks (split models), substream 2 services (split
-    models draw the class-1 block first, then the class-2 block), so
-    every discipline consumes identical randomness.  Simultaneous
-    completion and arrival resolve completion-first.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must lie in [0, 1)")
-    if not isinstance(discipline, Discipline):
-        discipline = Discipline(discipline)
-    if discipline in (Discipline.PRIO_PR, Discipline.PRIO_NP) and model.split is None:
-        raise ValueError("priority disciplines need a two-class split")
-
+@functools.lru_cache(maxsize=1)
+def _streams(model: QueueModel, n: int, seed: int) -> Tuple[np.ndarray, ...]:
+    # the discipline-free stage of a run: arrival times, services, class
+    # marks, workload at arrival, busy starts and busy durations, read-only
+    # so that coupled runs on one (model, n, seed) can share them
     interarrival = sample_array(model.arrival, stream(seed, 0), n)
     arrival = np.cumsum(interarrival)
     if model.split is not None:
@@ -176,10 +129,49 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
     else:
         cls = np.zeros(n, dtype=np.int8)
         service = sample_array(model.service, stream(seed, 2), n)
-
     workload = lindley_workload(interarrival, service)
-    first, depart = _simulate(discipline, arrival, service, cls)
-    busy_starts, busy_durations = _busy_spans(arrival, service, workload)
+    arrays = (arrival, service, cls, workload) + _busy_spans(arrival, service, workload)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
+        warmup_fraction: float = 0.2) -> SimOutput:
+    """Simulate n arrivals under one discipline.
+
+    Streams are fixed by the seed alone: substream 0 inter-arrivals,
+    substream 1 class marks (split models), substream 2 services (split
+    models draw the class-1 block first, then the class-2 block), so
+    every discipline consumes identical randomness.  Simultaneous
+    completion and arrival resolve completion-first.
+
+    The stream arrays (arrival and service times, class marks, workload
+    at arrival, busy starts and durations) are read-only and memoised on
+    ``(model, n, seed)`` for the latest key only, so coupled calls on one
+    key share the same arrays and sample them once; only the two event
+    arrays (first service start, departure) are the discipline's own.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must lie in [0, 1)")
+    if not isinstance(discipline, Discipline):
+        discipline = Discipline(discipline)
+    if discipline in (Discipline.PRIO_PR, Discipline.PRIO_NP) and model.split is None:
+        raise ValueError("priority disciplines need a two-class split")
+
+    arrival, service, cls, workload, busy_starts, busy_durations = _streams(
+        model, n, seed)
+    if discipline is Discipline.FIFO:
+        first, depart = _fifo(arrival, service)
+    elif discipline is Discipline.LIFO_PR:
+        first, depart = arrival.copy(), _lifo_pr(arrival, service)
+    elif discipline in (Discipline.SRPT_PR, Discipline.SRPT_NP):
+        first, depart = _srpt(arrival, service, discipline is Discipline.SRPT_PR)
+    else:
+        first, depart = _priority(arrival, service, cls,
+                                  discipline is Discipline.PRIO_PR)
     return SimOutput(
         discipline=discipline, warmup=int(warmup_fraction * n),
         arrival_time=arrival, service_time=service, customer_class=cls,
@@ -188,110 +180,194 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
         busy_starts=busy_starts, busy_durations=busy_durations)
 
 
-def _simulate(discipline, arrival, service, cls):
+# The event loops keep a completion time as a double-double (ch, cl) and
+# spell out its three updates inline, each in one fixed order of
+# operations (the identities across disciplines rest on it):
+#   start at an exact arrival t with work b:
+#       s = t + b; bb = s - t; lo = 0.0 + ((t - (s - bb)) + (b - bb))
+#   chain work (rh, rl) on at (ch, cl):
+#       s = ch + rh; bb = s - ch; lo = cl + rl + ((ch - (s - bb)) + (rh - bb))
+#   then ch = s + lo; cl = lo - (ch - s).  The work left at an arrival t is
+#       s = ch - t; bb = s - ch; lo = cl + ((ch - (s - bb)) - (t + bb))
+#       rh = s + lo; rl = lo - (rh - s).
+# A completion at (ch, cl) comes before an arrival at t exactly when
+# ch < t or (ch == t and cl <= 0.0).  The loops other than FIFO run over
+# the arrivals plus an infinite one that drains the system.  They index
+# the arrays through memoryviews, as fast as lists and with no list to
+# build or convert back.
+
+
+def _fifo(arrival, service):
+    # customer k starts at its arrival, or at the departure of k - 1 if
+    # that comes later, so no queue is kept
     n = len(arrival)
-    t_arr: List[float] = arrival.tolist()
-    svc: List[float] = service.tolist()
-    klass: List[int] = cls.tolist()
-    first = [math.nan] * n
-    depart = [math.nan] * n
-
-    fifo = discipline is Discipline.FIFO
-    lifo = discipline is Discipline.LIFO_PR
-    srpt_pr = discipline is Discipline.SRPT_PR
-    srpt_np = discipline is Discipline.SRPT_NP
-    prio_pr = discipline is Discipline.PRIO_PR
-    srpt = srpt_pr or srpt_np
-    prio = prio_pr or discipline is Discipline.PRIO_NP
-
-    queue = deque()            # FIFO: customer ids
-    stack = []                 # LIFO_PR: (cust, rem_hi, rem_lo)
-    heap = []                  # SRPT: (rem_hi, rem_lo, cust)
-    q1 = deque()               # PRIO: (cust, rem_hi, rem_lo)
-    q2 = deque()
-
-    active = -1
-    comp_hi = comp_lo = 0.0
-    served = 0
-    i = 0
-    while served < n:
-        if active >= 0 and (i >= n or comp_hi < t_arr[i]
-                            or (comp_hi == t_arr[i] and comp_lo <= 0.0)):
-            now = comp_hi + comp_lo
-            depart[active] = now
-            served += 1
-            # select the next job
-            if fifo:
-                if queue:
-                    cust = queue.popleft()
-                    rh, rl = svc[cust], 0.0
-                else:
-                    active = -1
-                    continue
-            elif lifo:
-                if stack:
-                    cust, rh, rl = stack.pop()
-                else:
-                    active = -1
-                    continue
-            elif srpt:
-                if heap:
-                    rh, rl, cust = heappop(heap)
-                else:
-                    active = -1
-                    continue
-            else:
-                if q1:
-                    cust, rh, rl = q1.popleft()
-                elif q2:
-                    cust, rh, rl = q2.popleft()
-                else:
-                    active = -1
-                    continue
-            if first[cust] != first[cust]:
-                first[cust] = now
-            comp_hi, comp_lo = _dd_chain(comp_hi, comp_lo, rh, rl)
-            active = cust
+    first, depart = np.empty(n), np.empty(n)
+    f, d = memoryview(first), memoryview(depart)
+    ch, cl = -math.inf, 0.0
+    for k, (t, b) in enumerate(zip(memoryview(arrival), memoryview(service))):
+        if ch < t or (ch == t and cl <= 0.0):
+            f[k] = t
+            s = t + b
+            bb = s - t
+            lo = 0.0 + ((t - (s - bb)) + (b - bb))
         else:
-            t = t_arr[i]
-            b = svc[i]
-            if active < 0:
-                first[i] = t
-                comp_hi, comp_lo = _dd_start(t, b, 0.0)
-                active = i
-            elif fifo:
-                queue.append(i)
-            elif lifo:
-                rh, rl = _dd_remaining(comp_hi, comp_lo, t)
-                stack.append((active, rh, rl))
-                first[i] = t
-                comp_hi, comp_lo = _dd_start(t, b, 0.0)
-                active = i
-            elif srpt_pr:
-                rh, rl = _dd_remaining(comp_hi, comp_lo, t)
-                if b < rh or (b == rh and rl > 0.0):
-                    heappush(heap, (rh, rl, active))
-                    first[i] = t
-                    comp_hi, comp_lo = _dd_start(t, b, 0.0)
-                    active = i
-                else:
-                    heappush(heap, (b, 0.0, i))
-            elif srpt_np:
-                heappush(heap, (b, 0.0, i))
-            elif prio:
-                c = klass[i]
-                if prio_pr and c == 1 and klass[active] == 2:
-                    rh, rl = _dd_remaining(comp_hi, comp_lo, t)
-                    q2.appendleft((active, rh, rl))
-                    first[i] = t
-                    comp_hi, comp_lo = _dd_start(t, b, 0.0)
-                    active = i
-                elif c == 1:
-                    q1.append((i, b, 0.0))
-                else:
-                    q2.append((i, b, 0.0))
-            i += 1
-    return np.asarray(first), np.asarray(depart)
+            f[k] = now
+            s = ch + b
+            bb = s - ch
+            lo = cl + 0.0 + ((ch - (s - bb)) + (b - bb))
+        ch = s + lo
+        cl = lo - (ch - s)
+        now = ch + cl
+        d[k] = now
+    return first, depart
+
+
+def _events(arrival):
+    # the arrival epochs and then +inf, which drains the system
+    return enumerate(memoryview(np.append(arrival, math.inf)))
+
+
+def _lifo_pr(arrival, service):
+    # every arrival starts at once; the interrupted job goes on a stack
+    n = len(arrival)
+    depart = np.empty(n)
+    d, svc = memoryview(depart), memoryview(service)
+    stack = []
+    push, pop = stack.append, stack.pop
+    active = -1
+    ch = cl = 0.0
+    for i, t in _events(arrival):
+        while active >= 0 and (ch < t or (ch == t and cl <= 0.0)):
+            d[active] = ch + cl
+            if not stack:
+                active = -1
+                break
+            active, rh, rl = pop()
+            s = ch + rh
+            bb = s - ch
+            lo = cl + rl + ((ch - (s - bb)) + (rh - bb))
+            ch = s + lo
+            cl = lo - (ch - s)
+        if i == n:
+            break
+        if active >= 0:
+            s = ch - t
+            bb = s - ch
+            lo = cl + ((ch - (s - bb)) - (t + bb))
+            rh = s + lo
+            push((active, rh, lo - (rh - s)))
+        b = svc[i]
+        s = t + b
+        bb = s - t
+        lo = 0.0 + ((t - (s - bb)) + (b - bb))
+        ch = s + lo
+        cl = lo - (ch - s)
+        active = i
+    return depart
+
+
+def _srpt(arrival, service, preemptive):
+    # a heap of (remaining hi, remaining lo, customer); a preemptive arrival
+    # displaces the active job when its work is strictly smaller
+    n = len(arrival)
+    first, depart = np.full(n, math.nan), np.empty(n)
+    f, d, svc = memoryview(first), memoryview(depart), memoryview(service)
+    heap = []
+    push, pop = heappush, heappop
+    active = -1
+    ch = cl = 0.0
+    for i, t in _events(arrival):
+        while active >= 0 and (ch < t or (ch == t and cl <= 0.0)):
+            now = ch + cl
+            d[active] = now
+            if not heap:
+                active = -1
+                break
+            rh, rl, active = pop(heap)
+            if f[active] != f[active]:
+                f[active] = now
+            s = ch + rh
+            bb = s - ch
+            lo = cl + rl + ((ch - (s - bb)) + (rh - bb))
+            ch = s + lo
+            cl = lo - (ch - s)
+        if i == n:
+            break
+        b = svc[i]
+        if active >= 0:
+            if not preemptive:
+                push(heap, (b, 0.0, i))
+                continue
+            s = ch - t
+            bb = s - ch
+            lo = cl + ((ch - (s - bb)) - (t + bb))
+            rh = s + lo
+            rl = lo - (rh - s)
+            if not (b < rh or (b == rh and rl > 0.0)):
+                push(heap, (b, 0.0, i))
+                continue
+            push(heap, (rh, rl, active))
+        f[i] = t
+        s = t + b
+        bb = s - t
+        lo = 0.0 + ((t - (s - bb)) + (b - bb))
+        ch = s + lo
+        cl = lo - (ch - s)
+        active = i
+    return first, depart
+
+
+def _priority(arrival, service, cls, preemptive):
+    # one FIFO deque per class; under preemption a class-1 arrival puts an
+    # active class-2 job back at the head of its deque
+    n = len(arrival)
+    first, depart = np.full(n, math.nan), np.empty(n)
+    f, d, svc = memoryview(first), memoryview(depart), memoryview(service)
+    klass = memoryview(cls)
+    q1, q2 = deque(), deque()
+    active = -1
+    ch = cl = 0.0
+    for i, t in _events(arrival):
+        while active >= 0 and (ch < t or (ch == t and cl <= 0.0)):
+            now = ch + cl
+            d[active] = now
+            if q1:
+                active, rh, rl = q1.popleft()
+            elif q2:
+                active, rh, rl = q2.popleft()
+            else:
+                active = -1
+                break
+            if f[active] != f[active]:
+                f[active] = now
+            s = ch + rh
+            bb = s - ch
+            lo = cl + rl + ((ch - (s - bb)) + (rh - bb))
+            ch = s + lo
+            cl = lo - (ch - s)
+        if i == n:
+            break
+        b = svc[i]
+        if active >= 0:
+            if klass[i] != 1:
+                q2.append((i, b, 0.0))
+                continue
+            if not (preemptive and klass[active] == 2):
+                q1.append((i, b, 0.0))
+                continue
+            s = ch - t
+            bb = s - ch
+            lo = cl + ((ch - (s - bb)) - (t + bb))
+            rh = s + lo
+            q2.appendleft((active, rh, lo - (rh - s)))
+        f[i] = t
+        s = t + b
+        bb = s - t
+        lo = 0.0 + ((t - (s - bb)) + (b - bb))
+        ch = s + lo
+        cl = lo - (ch - s)
+        active = i
+    return first, depart
 
 
 def empirical_psi(model: QueueModel, s: float, horizon: float,

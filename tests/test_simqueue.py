@@ -18,6 +18,7 @@ from queuedecay.dist import (
 from queuedecay.ratecalc import NumericalFailure, QueueModel, Split, psi
 from queuedecay.simqueue import (
     Discipline,
+    _streams,
     busy_to_csv,
     cycle_psi,
     empirical_psi,
@@ -239,6 +240,56 @@ def test_split_streams_shared_across_disciplines():
     c = run(MM1, Discipline.FIFO, 5000, 77)
     assert set(np.unique(c.customer_class)) == {0}
 
+
+STREAM_FIELDS = ("arrival_time", "service_time", "customer_class",
+                 "workload_at_arrival", "busy_starts", "busy_durations")
+
+
+def _fresh(model, n, seed):
+    # the stream stage computed anew, past the memo
+    return _streams.__wrapped__(model, n, seed)
+
+
+def _streams_of(out):
+    return tuple(getattr(out, f) for f in STREAM_FIELDS)
+
+
+def test_stream_memo_is_keyed_on_model_n_and_seed():
+    _streams.cache_clear()
+    twin = QueueModel(Exponential(1.0),
+                      split=Split(0.5, UniformInterval(0.0, 0.5),
+                                  Deterministic(1.0)))
+    assert twin == SPLIT and twin is not SPLIT
+    calls = [(SPLIT, 4000, 1), (SPLIT, 4000, 2), (SPLIT, 3000, 2),
+             (twin, 3000, 2), (MM1, 3000, 2)]
+    for model, n, seed in calls:
+        got = _streams_of(run(model, Discipline.FIFO, n, seed))
+        expect = _fresh(model, n, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+    assert not np.array_equal(_fresh(SPLIT, 4000, 1)[0], _fresh(SPLIT, 4000, 2)[0])
+    # only the equal twin found its key in the memo
+    assert _streams.cache_info().hits == 1
+
+
+def test_coupled_runs_share_read_only_streams():
+    outs = [run(SPLIT, d, 3000, 5) for d in Discipline]
+    for out in outs[1:]:
+        assert all(a is b for a, b in zip(_streams_of(out), _streams_of(outs[0])))
+    for field in STREAM_FIELDS:
+        with pytest.raises(ValueError):
+            getattr(outs[0], field)[0] = 1
+    # the event arrays are each run's own
+    outs[0].first_service_start[0] = 0.0
+    assert outs[1].first_service_start is not outs[0].first_service_start
+
+
+def test_warmup_fraction_changes_only_warmup():
+    a = run(SPLIT, Discipline.SRPT_PR, 3000, 6, warmup_fraction=0.0)
+    b = run(SPLIT, Discipline.SRPT_PR, 3000, 6, warmup_fraction=0.5)
+    assert (a.warmup, b.warmup) == (0, 1500)
+    assert all(x is y for x, y in zip(_streams_of(a), _streams_of(b)))
+    assert np.array_equal(a.first_service_start, b.first_service_start)
+    assert np.array_equal(a.departure_time, b.departure_time)
 
 def test_empirical_psi_zero_is_exact():
     assert empirical_psi(MM1, 0.0, 50.0, 64, 4) == 0.0
