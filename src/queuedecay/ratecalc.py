@@ -477,14 +477,17 @@ def model_to_json(model: QueueModel) -> dict:
 
 
 def _law_from_json(obj, name: str) -> DistributionSpec:
-    # a law whose mean or variance leaves the float range would raise an
-    # arithmetic error deep inside the first computation that uses it
+    # a law whose mean or variance leaves the float range (an arithmetic
+    # error here, or an overflow to inf) fails later, deep inside the
+    # first computation that uses it
     d = from_json(obj)
     try:
-        moments(d)
-    except ArithmeticError as exc:
+        in_range = all(map(math.isfinite, moments(d)))
+    except ArithmeticError:
+        in_range = False
+    if not in_range:
         raise ValueError(f"{name} law has a mean or variance outside the "
-                         f"floating-point range") from exc
+                         f"floating-point range")
     return d
 
 

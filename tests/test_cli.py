@@ -338,6 +338,8 @@ BAD_MODEL_FILES = {
                                "service": EXP1}, 1),
     "overflowing-variance": ({"arrival": {"type": "uniform", "lo": 0, "hi": 1e308},
                               "service": EXP1}, 1),
+    "infinite-variance": ({"arrival": {"type": "exponential", "rate": 1e-160},
+                           "service": EXP1}, 1),
 }
 
 
