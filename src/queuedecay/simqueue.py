@@ -166,7 +166,7 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
     if discipline is Discipline.FIFO:
         first, depart = _fifo(arrival, service)
     elif discipline is Discipline.LIFO_PR:
-        first, depart = arrival.copy(), _lifo_pr(arrival, service)
+        first, depart = _lifo_pr(arrival, service)
     elif discipline in (Discipline.SRPT_PR, Discipline.SRPT_NP):
         first, depart = _srpt(arrival, service, discipline is Discipline.SRPT_PR)
     else:
@@ -230,7 +230,7 @@ def _events(arrival):
 def _lifo_pr(arrival, service):
     # every arrival starts at once; the interrupted job goes on a stack
     n = len(arrival)
-    depart = np.empty(n)
+    first, depart = arrival.copy(), np.empty(n)
     d, svc = memoryview(depart), memoryview(service)
     stack = []
     push, pop = stack.append, stack.pop
@@ -263,7 +263,7 @@ def _lifo_pr(arrival, service):
         ch = s + lo
         cl = lo - (ch - s)
         active = i
-    return depart
+    return first, depart
 
 
 def _srpt(arrival, service, preemptive):
