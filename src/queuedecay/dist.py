@@ -341,8 +341,9 @@ def sf(d: DistributionSpec, x: float) -> float:
 def _value(x: float, f, *args) -> float:
     try:
         fx = f(x, *args)
-    except OverflowError as exc:
-        raise NumericalFailure(f"{f.__name__} overflows at {x!r}") from exc
+    except ArithmeticError as exc:
+        raise NumericalFailure(
+            f"{f.__name__} overflows or divides by zero at {x!r}") from exc
     if math.isnan(fx):
         raise NumericalFailure(f"{f.__name__} is NaN at {x!r}")
     return fx
@@ -440,7 +441,8 @@ def truncate_below(d: DistributionSpec, y: float) -> DistributionSpec:
     if not y > 0:
         raise ValueError("y must be positive")
     below = prob_below(d, y)
-    above = 1.0 - below
+    # P(X >= y) from the survival side, so that a tiny tail keeps its mass
+    above = sf(d, y) + atom_at(d, y)
     if above == 0.0:
         return d
     if below == 0.0:
@@ -503,16 +505,23 @@ def sample_array(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.nd
         if k == 1:
             return -np.log1p(u * np.expm1(-rate * d.cutoff)) / rate
         return gammaincinv(k, u * gammainc(k, rate * d.cutoff)) / rate
+    return mixture_draw([w for w, _ in d.components],
+                        [functools.partial(sample_array, c) for _, c in d.components],
+                        rng, n)
+
+
+def mixture_draw(weights, draws, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of a mixture: the selector uniforms first, then one block
+    ``draws[j](rng, count)`` per component j in order."""
     u = rng.random(n)
-    weights = np.array([w for w, _ in d.components])
     idx = np.searchsorted(np.cumsum(weights), u, side="right")
     idx = np.minimum(idx, len(weights) - 1)
     out = np.empty(n, dtype=np.float64)
-    for j, (_, comp) in enumerate(d.components):
+    for j, draw in enumerate(draws):
         mask = idx == j
         cnt = int(mask.sum())
         if cnt:
-            out[mask] = sample_array(comp, rng, cnt)
+            out[mask] = draw(rng, cnt)
     return out
 
 

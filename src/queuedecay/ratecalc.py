@@ -23,6 +23,7 @@ from .dist import (
     NumericalFailure,
     OutOfDomainError,
     OutOfRangeError,
+    _value,
     ess_inf,
     ess_sup,
     find_root,
@@ -204,7 +205,7 @@ def _argmax(arrival, service, end: float) -> float:
     # argmax of the concave s - psi(s) on [0, end]
     points = _doublings() if math.isinf(end) else (end,)
     s_opt = find_root(_slope_excess, (arrival, service), 0.0,
-                      _slope_excess(0.0, arrival, service), points)
+                      _value(0.0, _slope_excess, arrival, service), points)
     if s_opt is None and math.isinf(end):
         raise NumericalFailure("no concave turnover within the expansion budget")
     return end if s_opt is None else s_opt
@@ -227,15 +228,6 @@ def _class1_service(p: float, class1: DistributionSpec) -> DistributionSpec:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     return FiniteMixture(((p, class1), (1.0 - p, Deterministic(0.0))))
-
-
-def psi1(arrival: DistributionSpec, p: float, class1: DistributionSpec,
-         s: float) -> float:
-    """psi of the class-1 subsystem seen through the p-thinned arrival
-    stream: the unique u >= 0 with Phi_A1(-u) * Phi_B1(s) = 1, computed as
-    psi against the service law that is class1 with probability p and
-    zero otherwise, which solves the same equation."""
-    return psi(arrival, _class1_service(p, class1), s)
 
 
 def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:
@@ -301,9 +293,10 @@ def gamma_p_trunc(model: QueueModel, y: float) -> float:
 def gamma_w2(model: QueueModel) -> PriorityDecay:
     """Decay rate of low-priority waiting and sojourn time.
 
-    Maximizes s - psi1(s) over [0, gamma_w].  Interior regime: the
-    unconstrained optimizer lies inside, and the rate equals the
-    class-1 busy-period rate.  Boundary regime: the map still rises at
+    Maximizes s - psi1(s) over [0, gamma_w], where psi1 is psi of the
+    class-1 subsystem seen through the p-thinned arrival stream.  Interior
+    regime: the unconstrained optimizer lies inside, and the rate equals
+    the class-1 busy-period rate.  Boundary regime: the map still rises at
     gamma_w; the rate is gamma_w - psi1(gamma_w) and a = 1 - psi1'(gamma_w)
     in (0, 1) is the most likely initial-workload fraction.
     """

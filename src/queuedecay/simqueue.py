@@ -88,14 +88,14 @@ def lindley_workload(interarrivals: np.ndarray, services: np.ndarray) -> np.ndar
         raise ValueError("sequences must have equal length")
     a = np.asarray(interarrivals, dtype=np.float64).tolist()
     b = np.asarray(services, dtype=np.float64).tolist()
-    n = len(a)
-    out = [0.0] * n
+    out = [0.0] if a else []
+    append = out.append
     w = 0.0
-    for k in range(n - 1):
-        w = w + b[k] - a[k + 1]
+    for b_k, a_next in zip(b, a[1:]):
+        w = w + b_k - a_next
         if w < 0.0:
             w = 0.0
-        out[k + 1] = w
+        append(w)
     return np.asarray(out)
 
 

@@ -22,9 +22,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dist import (ConditionedBelow, Deterministic, Erlang, Exponential,
-                   FiniteMixture, OutOfDomainError, UniformInterval, mgf,
-                   mgf_deriv, sample_array, stream)
-from .ratecalc import QueueModel, gamma_w_detail, psi
+                   FiniteMixture, UniformInterval, mgf, mgf_deriv,
+                   mixture_draw, sample_array, stream)
+from .ratecalc import QueueModel, gamma_w_detail
 
 
 class DegenerateTailError(ValueError):
@@ -187,24 +187,12 @@ class _Direct:
 
 
 class _MixedLaw:
-    """Selector uniforms first, then component blocks in order."""
-
     def __init__(self, weights, parts):
-        self.weights = np.asarray(weights)
+        self.weights = weights
         self.parts = parts
 
     def draw(self, rng, n: int) -> np.ndarray:
-        u = rng.random(n)
-        edges = np.cumsum(self.weights)
-        which = np.searchsorted(edges, u, side="right")
-        which = np.minimum(which, len(self.parts) - 1)
-        out = np.empty(n, dtype=np.float64)
-        for j, part in enumerate(self.parts):
-            sel = which == j
-            k = int(sel.sum())
-            if k:
-                out[sel] = part.draw(rng, k)
-        return out
+        return mixture_draw(self.weights, [p.draw for p in self.parts], rng, n)
 
 
 def _tilt_law(law, theta: float):
@@ -255,33 +243,22 @@ class TiltedMeasure:
     service: object
 
 
-def tilt_measure(model: QueueModel, nu: Optional[float] = None) -> TiltedMeasure:
-    """Exponential change of measure: services reweighted by exp(nu * b),
-    inter-arrivals by exp(-psi(nu) * a).  The default nu is the workload
-    decay rate, where psi(nu) = nu and the tilted walk drifts upward."""
-    if nu is None:
-        root, boundary = gamma_w_detail(model)
-        if boundary:
-            raise TiltUnavailableError(
-                "the decay rate sits on the service MGF-domain boundary; "
-                "no zero-crossing tilt exists")
-        nu = root
-        psi_nu = nu
-    else:
-        if nu <= 0:
-            raise ValueError("nu must be positive")
-        try:
-            psi_nu = psi(model.arrival, model.service, nu)
-        except OutOfDomainError as exc:
-            raise TiltUnavailableError(
-                f"nu={nu} is at or beyond the service MGF domain") from exc
+def tilt_measure(model: QueueModel) -> TiltedMeasure:
+    """Exponential change of measure at the workload decay rate nu:
+    services reweighted by exp(nu * b), inter-arrivals by exp(-psi(nu) * a).
+    There psi(nu) = nu and the tilted walk drifts upward."""
+    nu, boundary = gamma_w_detail(model)
+    if boundary:
+        raise TiltUnavailableError(
+            "the decay rate sits on the service MGF-domain boundary; "
+            "no zero-crossing tilt exists")
     drift = (mgf_deriv(model.service, nu) / mgf(model.service, nu)
-             - mgf_deriv(model.arrival, -psi_nu) / mgf(model.arrival, -psi_nu))
+             - mgf_deriv(model.arrival, -nu) / mgf(model.arrival, -nu))
     if not drift > 0.0:
         raise TiltUnavailableError(
             f"tilted drift {drift} is not positive at nu={nu}")
-    return TiltedMeasure(nu=nu, psi_nu=psi_nu,
-                         arrival=_tilt_law(model.arrival, -psi_nu),
+    return TiltedMeasure(nu=nu, psi_nu=nu,
+                         arrival=_tilt_law(model.arrival, -nu),
                          service=_tilt_law(model.service, nu))
 
 

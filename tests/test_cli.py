@@ -340,6 +340,8 @@ BAD_MODEL_FILES = {
                               "service": EXP1}, 1),
     "infinite-variance": ({"arrival": {"type": "exponential", "rate": 1e-160},
                            "service": EXP1}, 1),
+    "vanishing-slope": ({"arrival": {"type": "exponential", "rate": 1e-150},
+                         "service": {"type": "deterministic", "value": 5e149}}, 3),
 }
 
 

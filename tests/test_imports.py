@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and the package
+root exports exactly the names the README and the benchmark use.
 
-``__init__.py`` is left out: its imports are the package's exports.
+``__init__.py`` is left out of the first check: its imports are the
+package's exports.
 """
 
 import ast
@@ -10,6 +12,13 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "queuedecay"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+EXPORTS = {
+    "ConditionedBelow", "Deterministic", "Discipline", "Erlang", "Exponential",
+    "FiniteMixture", "QueueModel", "Split", "UniformInterval",
+    "busy_to_csv", "decay_report", "fit_decay", "gamma_p", "gamma_p_trunc",
+    "gamma_v_srpt", "gamma_w", "gamma_w2", "heavy_traffic", "is_workload_tail",
+    "run", "sample_array", "stream", "y_star",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -35,3 +44,10 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_package_root_exports_exactly_the_public_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == sorted(EXPORTS)

@@ -34,7 +34,6 @@ from queuedecay.ratecalc import (
     model_to_json,
     poisson_rates,
     psi,
-    psi1,
     y_star,
 )
 
@@ -99,13 +98,14 @@ def test_residual_identity_busy_period_from_workload_interval():
 
 
 def test_psi1_dual_agreement():
-    # psi1 goes through the mixture p B1 + (1-p) delta_0; its dual is the
-    # thinned-stream equation p Phi_A(-u) Phi_B1(s) = 1 - (1-p) Phi_A(-u)
+    # psi of the mixture p B1 + (1-p) delta_0 is the class-1 psi1; its dual
+    # is the thinned-stream equation p Phi_A(-u) Phi_B1(s) = 1 - (1-p) Phi_A(-u)
     model = ATOM
     p = 0.5
     class1 = UniformInterval(0.0, 0.5)
+    service1 = FiniteMixture(((p, class1), (1.0 - p, Deterministic(0.0))))
     for s in np.linspace(0.05, 0.95, 7):
-        u = psi1(model.arrival, p, class1, s)
+        u = psi(model.arrival, service1, s)
         phi_a = mgf(model.arrival, -u)
         lhs = p * phi_a * mgf(class1, s)
         rhs = 1.0 - (1.0 - p) * phi_a
@@ -391,8 +391,9 @@ def test_gamma_w2_interior_is_at_least_the_grid_maximum():
     d = gamma_w2(model)
     assert d.regime == "interior"
     p, class1 = model.split.p, model.split.class1
+    service1 = FiniteMixture(((p, class1), (1.0 - p, Deterministic(0.0))))
     grid = np.linspace(0.0, gamma_w(model), 20001)
-    best = max(s - psi1(model.arrival, p, class1, s) for s in grid)
+    best = max(s - psi(model.arrival, service1, s) for s in grid)
     assert d.rate >= best - 1e-9
 
 
@@ -403,6 +404,18 @@ def test_search_work_stays_bounded(monkeypatch):
     calls[0] = 0
     y_star(MM1)
     assert calls[0] <= 5000
+
+
+@pytest.mark.parametrize("rho", [1e-4, 1e-5])
+def test_y_star_is_a_sign_change_at_low_load(rho):
+    # P(B >= y) must not round to 0 in the truncation, or the excess
+    # gamma_w - gamma_p_trunc jumps across zero instead of crossing it
+    model = QueueModel(Exponential(rho), Exponential(1.0))
+    value = y_star(model).value
+    gw = gamma_w(model)
+    below = gw - gamma_p_trunc(model, value * (1.0 - 1e-12))
+    above = gw - gamma_p_trunc(model, value * (1.0 + 1e-12))
+    assert -1e-9 <= below <= 0.0 <= above <= 1e-9
 
 
 def test_y_star_tail_prob_at_tiny_load():

@@ -13,7 +13,7 @@ from queuedecay.dist import (
     mgf,
     stream,
 )
-from queuedecay.ratecalc import QueueModel, Split, gamma_w, psi
+from queuedecay.ratecalc import QueueModel, Split, gamma_w
 from queuedecay.tailest import (
     DegenerateTailError,
     TiltUnavailableError,
@@ -137,19 +137,6 @@ def test_tilt_sampler_means_match_tilted_densities():
                - mgf(model.arrival, -tm.psi_nu + eps)) / (2 * eps)
     want_a /= mgf(model.arrival, -tm.psi_nu)
     assert arr.mean() == pytest.approx(want_a, rel=0.01)
-
-
-def test_tilt_explicit_nu_and_drift_sign():
-    tm = tilt_measure(MM1, nu=0.6)
-    assert tm.nu == 0.6
-    assert tm.psi_nu == pytest.approx(psi(MM1.arrival, MM1.service, 0.6),
-                                      rel=1e-12)
-    with pytest.raises(ValueError):
-        tilt_measure(MM1, nu=0.0)
-    with pytest.raises(TiltUnavailableError):
-        tilt_measure(MM1, nu=0.25)  # walk still drifts down at this tilt
-    with pytest.raises(TiltUnavailableError):
-        tilt_measure(MM1, nu=1.0)  # tilted service rate would be <= 0
 
 
 def test_tilt_unavailable_for_unsupported_laws():
