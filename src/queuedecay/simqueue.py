@@ -15,6 +15,10 @@ the canonical recursion on the shared streams, which makes them
 discipline-independent by construction.  A run splits into a stream
 stage, memoised on (model, n, seed) so that coupled runs share it, and
 one event loop per queue structure.
+
+The recursion and the event loops run compiled from ``_kernels.c`` when
+a C compiler works here (built on first use into a per-user cache), and
+as the Python loops below otherwise; both give bitwise the same arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -81,13 +86,20 @@ class SimOutput:
         return self.departure_time[k] - self.arrival_time[k]
 
 
-def lindley_workload(interarrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+def lindley_workload(interarrivals, services) -> np.ndarray:
     """Workload found by each arrival: W_1 = 0 and
-    W_{k+1} = max(W_k + B_k - A_{k+1}, 0)."""
+    W_{k+1} = max(W_k + B_k - A_{k+1}, 0).  Takes any two sequences of
+    numbers of equal length."""
     if len(interarrivals) != len(services):
         raise ValueError("sequences must have equal length")
-    a = np.asarray(interarrivals, dtype=np.float64).tolist()
-    b = np.asarray(services, dtype=np.float64).tolist()
+    a = np.ascontiguousarray(interarrivals, dtype=np.float64)
+    b = np.ascontiguousarray(services, dtype=np.float64)
+    return _loops().lindley(a, b)
+
+
+def _lindley(a, b):
+    a = a.tolist()
+    b = b.tolist()
     out = [0.0] if a else []
     append = out.append
     w = 0.0
@@ -152,6 +164,9 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
     key share the same arrays and sample them once; only the two event
     arrays (first service start, departure) are the discipline's own.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, not {n!r}")
+    n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 <= warmup_fraction < 1.0:
@@ -163,15 +178,17 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
 
     arrival, service, cls, workload, busy_starts, busy_durations = _streams(
         model, n, seed)
+    loops = _loops()
     if discipline is Discipline.FIFO:
-        first, depart = _fifo(arrival, service)
+        first, depart = loops.fifo(arrival, service)
     elif discipline is Discipline.LIFO_PR:
-        first, depart = _lifo_pr(arrival, service)
+        first, depart = loops.lifo_pr(arrival, service)
     elif discipline in (Discipline.SRPT_PR, Discipline.SRPT_NP):
-        first, depart = _srpt(arrival, service, discipline is Discipline.SRPT_PR)
+        first, depart = loops.srpt(arrival, service,
+                                   discipline is Discipline.SRPT_PR)
     else:
-        first, depart = _priority(arrival, service, cls,
-                                  discipline is Discipline.PRIO_PR)
+        first, depart = loops.priority(arrival, service, cls,
+                                       discipline is Discipline.PRIO_PR)
     return SimOutput(
         discipline=discipline, warmup=int(warmup_fraction * n),
         arrival_time=arrival, service_time=service, customer_class=cls,
@@ -368,6 +385,18 @@ def _priority(arrival, service, cls, preemptive):
         cl = lo - (ch - s)
         active = i
     return first, depart
+
+
+# the reference loops, which run wherever the compiled ones do not build
+_PYTHON = SimpleNamespace(lindley=_lindley, fifo=_fifo, lifo_pr=_lifo_pr,
+                          srpt=_srpt, priority=_priority)
+
+
+def _loops():
+    # the loader is imported on first use, so that importing simqueue
+    # neither compiles nor loads anything
+    from . import _kernels
+    return _kernels.load() or _PYTHON
 
 
 def empirical_psi(model: QueueModel, s: float, horizon: float,

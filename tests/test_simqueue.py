@@ -2,6 +2,9 @@ import gc
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from queuedecay.dist import (
     sample_array,
     stream,
 )
+from queuedecay import _kernels
 from queuedecay.ratecalc import NumericalFailure, QueueModel, Split, psi
 from queuedecay.simqueue import (
     Discipline,
@@ -85,6 +89,101 @@ def test_sample_paths_match_pinned_digests(name, discipline):
         for field in SIM_FIELDS:
             h.update(getattr(out, field).tobytes())
     assert h.hexdigest() == PINNED_DIGESTS[name, discipline]
+
+
+def _outputs(model, discipline, n, seed):
+    _streams.cache_clear()
+    out = run(model, discipline, n, seed)
+    return [getattr(out, field) for field in SIM_FIELDS]
+
+
+def _assert_paths_agree(monkeypatch, model, discipline, n, seed):
+    # the active path (compiled wherever a C compiler works) against the
+    # Python loops, array for array and bit for bit
+    active = _outputs(model, discipline, n, seed)
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "load", lambda: None)
+        python = _outputs(model, discipline, n, seed)
+    _streams.cache_clear()
+    for field, a, b in zip(SIM_FIELDS, active, python):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("name,discipline", PINNED_DIGESTS)
+@pytest.mark.parametrize("seed", [1, 7])
+def test_compiled_and_python_loops_agree_on_pinned_cases(
+        monkeypatch, name, discipline, seed):
+    _assert_paths_agree(monkeypatch, PINNED_MODELS[name],
+                        Discipline(discipline), 20_000, seed)
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_compiled_and_python_loops_agree_on_one_customer(monkeypatch, discipline):
+    _assert_paths_agree(monkeypatch, SPLIT, discipline, 1, 3)
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_compiled_and_python_loops_agree_on_one_busy_period(monkeypatch, discipline):
+    heavy = QueueModel(Exponential(1.0),
+                       split=Split(0.5, UniformInterval(0.5, 1.0),
+                                   Deterministic(1.2)))
+    seed = next(s for s in range(1, 200) if len(_fresh(heavy, 40, s)[4]) == 1)
+    _assert_paths_agree(monkeypatch, heavy, discipline, 40, seed)
+
+
+@pytest.mark.parametrize("discipline", [Discipline.SRPT_PR, Discipline.SRPT_NP])
+def test_compiled_and_python_loops_agree_on_srpt_ties(monkeypatch, discipline):
+    # every service is 1.0, so the SRPT queue breaks each tie on the index
+    _assert_paths_agree(monkeypatch, PINNED_MODELS["det"], discipline, 50_000, 3)
+
+
+def test_a_failing_compiler_falls_back_silently(monkeypatch, tmp_path, capfd):
+    failing = [sys.executable, "-c", "print('cc: broken'); raise SystemExit(1)"]
+    monkeypatch.setattr(_kernels, "compiler", lambda: failing)
+    monkeypatch.setattr(_kernels, "cache_dir", lambda: str(tmp_path))
+    _kernels.load.cache_clear()
+    try:
+        assert _kernels.load() is None
+        fallback = _outputs(SPLIT, Discipline.SRPT_PR, 2000, 4)
+    finally:
+        _kernels.load.cache_clear()
+        _streams.cache_clear()
+    assert capfd.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+    active = _outputs(SPLIT, Discipline.SRPT_PR, 2000, 4)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(active, fallback))
+
+
+def test_kernels_load_on_first_use_not_at_import():
+    code = ("import sys, queuedecay as qd; "
+            "print('queuedecay._kernels' in sys.modules); "
+            "qd.run(qd.QueueModel(qd.Exponential(0.5), qd.Exponential(1.0)), "
+            "qd.Discipline.FIFO, 10, 1); "
+            "print('queuedecay._kernels' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("n", [1000.0, True, 10.5, "1000", None])
+def test_run_rejects_a_non_integral_n(n):
+    with pytest.raises(ValueError, match="integer"):
+        run(MM1, Discipline.FIFO, n, 1)
+
+
+def test_run_accepts_a_numpy_integer_n():
+    assert run(MM1, Discipline.FIFO, np.int64(100), 1).n == 100
+
+
+def test_lindley_accepts_lists_and_strided_arrays():
+    a = np.array([1.0, 9.0, 2.0, 9.0, 1.0, 9.0])
+    b = np.array([3.0, 9.0, 0.5, 9.0, 1.0, 9.0])
+    expect = lindley_workload(np.array([1.0, 2.0, 1.0]), np.array([3.0, 0.5, 1.0]))
+    assert expect.tolist() == [0.0, 1.0, 0.5]
+    assert np.array_equal(lindley_workload(a[::2], b[::2]), expect)
+    assert np.array_equal(lindley_workload([1, 2, 1], [3.0, 0.5, 1.0]), expect)
+    assert lindley_workload([], []).tolist() == []
 
 
 def test_lindley_recursion_hand_check():
