@@ -22,9 +22,9 @@ import sys
 from typing import List, Optional, Tuple
 
 from .dist import moments
-from .ratecalc import (NoDelaysError, NumericalFailure, QueueModel,
-                       UnstableError, decay_report, gamma_p_trunc,
-                       model_from_json, model_to_json, y_star)
+from .ratecalc import (NumericalFailure, QueueModel, UnstableError,
+                       decay_report, gamma_p_trunc, model_from_json,
+                       model_to_json, y_star)
 from .simqueue import Discipline, run, service_bins, write_records_csv
 from .tailest import DegenerateTailError, compare_rates, fit_decay
 from .validate import run_all
@@ -97,12 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_model(path: str) -> QueueModel:
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return model_from_json(json.load(fh))
     except OSError as exc:
         raise ValueError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_json(obj)
+    except RecursionError as exc:
+        raise ValueError(f"model file {path} nests too deeply: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -226,6 +227,8 @@ def _parse_grid(text: str) -> List[float]:
     if len(parts) != 3:
         raise ValueError(f"--rho-grid wants A:B:STEP, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"--rho-grid needs finite A, B and STEP, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds in {text!r}")
     grid = []
@@ -234,6 +237,8 @@ def _parse_grid(text: str) -> List[float]:
         value = lo + k * step
         if value > hi + 1e-12:
             break
+        if len(grid) == 10_000:
+            raise ValueError(f"--rho-grid {text!r} has more than 10000 points")
         grid.append(round(value, 12))
         k += 1
     return grid
@@ -298,10 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericalFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (NoDelaysError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

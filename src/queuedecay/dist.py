@@ -500,14 +500,24 @@ def sample_array(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.nd
             out[lo:lo + len(u)] = -np.log1p(-u).sum(axis=1) / d.rate
         return out
     if isinstance(d, ConditionedBelow):
-        u = rng.random(n)
         k, rate = _erlang_params(d.base)
         if k == 1:
-            return -np.log1p(u * np.expm1(-rate * d.cutoff)) / rate
-        return gammaincinv(k, u * gammainc(k, rate * d.cutoff)) / rate
+            return window_draw(0.0, d.cutoff, -rate, rng, n)
+        return gammaincinv(k, rng.random(n) * gammainc(k, rate * d.cutoff)) / rate
     return mixture_draw([w for w, _ in d.components],
                         [functools.partial(sample_array, c) for _, c in d.components],
                         rng, n)
+
+
+def window_draw(lo: float, width: float, slope: float,
+                rng: np.random.Generator, n: int) -> np.ndarray:
+    """n inverse-transform draws from the density proportional to
+    exp(slope * x) on [lo, lo + width), one uniform each."""
+    u = rng.random(n)
+    t = slope * width
+    if t == 0.0:
+        return lo + u * width
+    return lo + np.log1p(u * np.expm1(t)) / slope
 
 
 def mixture_draw(weights, draws, rng: np.random.Generator, n: int) -> np.ndarray:

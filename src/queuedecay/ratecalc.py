@@ -12,7 +12,7 @@ condition psi'(s) = 1, or the end of its interval when psi' < 1 there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from .dist import (
@@ -158,13 +158,7 @@ class DecayReport:
     case: Optional[str]
 
     def to_json(self) -> dict:
-        return {
-            "gamma_w": self.gamma_w, "gamma_p": self.gamma_p,
-            "gamma_w2": self.gamma_w2, "gamma_v": self.gamma_v,
-            "regime": self.regime, "s_opt": self.s_opt, "a": self.a,
-            "K": self.K, "rho": self.rho, "q": self.q, "x_b": self.x_b,
-            "case": self.case,
-        }
+        return asdict(self)
 
 
 def _usable_cap(d: DistributionSpec) -> float:

@@ -34,10 +34,9 @@ from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .dist import sample_array, stream
+from .dist import _value, find_root, sample_array, stream
 from .ratecalc import NumericalFailure, QueueModel
 
 
@@ -451,19 +450,18 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
         g = _arrival_gaps(model, rng, horizon)
         gaps.append(g)
         services.append(sample_array(model.service, rng, len(g)))
+    # the arrays go through args, not a closure (see find_root)
     args = (s * np.concatenate(services), np.concatenate(gaps))
-    hi = 1.0
-    while _cycle_excess(hi, *args) >= 0.0:
-        hi *= 2.0
-        if math.isinf(hi):
-            raise NumericalFailure("no finite root bracket for the cycle equation")
-    # the arrays go through args, not a closure: brentq's wrapper refers to
-    # itself, so whatever it holds lives on until the cyclic collector runs
-    return float(brentq(_cycle_excess, 0.0, hi, args=args))
+    theta = find_root(_cycle_excess, args, 0.0, _value(0.0, _cycle_excess, *args),
+                      (2.0 ** k for k in range(1024)))
+    if theta is None:
+        raise NumericalFailure("no finite root bracket for the cycle equation")
+    return theta
 
 
 def _cycle_excess(theta: float, sb: np.ndarray, a: np.ndarray) -> float:
-    return float(logsumexp(sb - theta * a)) - math.log(len(a))
+    # log n - log sum_i exp(s B_i - theta A_i): rises through zero at the root
+    return math.log(len(a)) - float(logsumexp(sb - theta * a))
 
 
 def _arrival_gaps(model, rng, horizon) -> np.ndarray:

@@ -1,30 +1,33 @@
 """Tail decay estimation and rare-event cross-validation.
 
-Two estimators connect simulation output to the analytic decay rates:
-a least-squares fit to the logarithmic empirical ccdf over an upper
-quantile window, and an exponential change-of-measure estimator for
-workload exceedance probabilities driven by the positive root of the
-Lundberg equation, so the tilted random walk drifts upward and first
-passage is certain.
+``fit_decay`` returns minus the least-squares slope of the log empirical
+ccdf between the 0.99 sample quantile and the tenth-largest sample.
+``is_workload_tail`` estimates P(W > x) by importance sampling: the
+increment walk is tilted at gamma_w, where psi(gamma_w) = gamma_w and
+psi' > 1, so it drifts upward and first passage is certain.  The tilted
+laws are drawn with dist's samplers.
 
-The bootstrap confidence interval resamples at the customer level and
-ignores autocorrelation between successive waits, so it is optimistic;
-the joint-interval agreement rule below compensates with a relative
-floor when two fits are compared.
+The bootstrap interval resamples at the customer level and ignores the
+dependence between successive waits, so it is optimistic, and the
+regression stderr understates error because ccdf points are dependent;
+``fits_agree`` therefore compares two fits through intervals of
+half-width max(4 * stderr, 0.02 * rate).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dist import (ConditionedBelow, Deterministic, Erlang, Exponential,
-                   FiniteMixture, UniformInterval, mgf, mgf_deriv,
-                   mixture_draw, sample_array, stream)
-from .ratecalc import QueueModel, gamma_w_detail
+from .dist import (ConditionedBelow, Deterministic, Exponential, FiniteMixture,
+                   UniformInterval, mgf, mixture_draw, sample_array, stream,
+                   window_draw)
+from .ratecalc import QueueModel, _psi_slope, gamma_w_detail
 
 
 class DegenerateTailError(ValueError):
@@ -126,10 +129,7 @@ class RateComparison:
     passed: bool
 
     def to_json(self) -> dict:
-        return {"analytic": self.analytic, "fitted": self.fitted,
-                "stderr": self.stderr, "rel_error": self.rel_error,
-                "z_score": self.z_score, "tolerance": self.tolerance,
-                "passed": self.passed}
+        return asdict(self)
 
 
 def compare_rates(analytic: float, fitted: TailFit,
@@ -150,116 +150,72 @@ def compare_rates(analytic: float, fitted: TailFit,
                           tolerance=tolerance, passed=abs(rel) <= tolerance)
 
 
-def fits_agree(first: TailFit, second: TailFit, z_width: float = 4.0,
+def fits_agree(first: TailFit, second: TailFit,
                rel_floor: float = 0.02) -> bool:
     """Joint-interval agreement: each rate gets the interval
-    rate +- max(z_width * stderr, rel_floor * rate); the fits agree when
-    the intervals overlap.  The relative floor covers the downward bias
-    of the regression stderr on dependent ccdf points."""
-    h1 = max(z_width * first.stderr, rel_floor * abs(first.rate))
-    h2 = max(z_width * second.stderr, rel_floor * abs(second.rate))
+    rate +- max(4 * stderr, rel_floor * rate); the fits agree when the
+    intervals overlap.  The relative floor covers the downward bias of
+    the regression stderr on dependent ccdf points."""
+    h1 = max(4.0 * first.stderr, rel_floor * abs(first.rate))
+    h2 = max(4.0 * second.stderr, rel_floor * abs(second.rate))
     return (first.rate - h1 <= second.rate + h2
             and second.rate - h2 <= first.rate + h1)
 
 
-class _WindowLaw:
-    """Density proportional to exp(slope * x) on [lo, lo + width)."""
-
-    def __init__(self, lo: float, width: float, slope: float):
-        self.lo = lo
-        self.width = width
-        self.slope = slope
-
-    def draw(self, rng, n: int) -> np.ndarray:
-        u = rng.random(n)
-        t = self.slope * self.width
-        if t == 0.0:
-            return self.lo + u * self.width
-        return self.lo + np.log1p(u * np.expm1(t)) / self.slope
-
-
-class _Direct:
-    def __init__(self, law):
-        self.law = law
-
-    def draw(self, rng, n: int) -> np.ndarray:
-        return sample_array(self.law, rng, n)
-
-
-class _MixedLaw:
-    def __init__(self, weights, parts):
-        self.weights = weights
-        self.parts = parts
-
-    def draw(self, rng, n: int) -> np.ndarray:
-        return mixture_draw(self.weights, [p.draw for p in self.parts], rng, n)
-
-
 def _tilt_law(law, theta: float):
-    """Sampler for the law reweighted by exp(theta * x), staying in closed
-    form for every supported variant."""
-    if theta == 0.0:
-        return _Direct(law)
-    if isinstance(law, Exponential):
-        if theta >= law.rate:
-            raise TiltUnavailableError(
-                f"tilt {theta} reaches the Exponential rate {law.rate}")
-        return _Direct(Exponential(law.rate - theta))
-    if isinstance(law, Erlang):
-        if theta >= law.rate:
-            raise TiltUnavailableError(
-                f"tilt {theta} reaches the Erlang rate {law.rate}")
-        return _Direct(Erlang(law.shape, law.rate - theta))
-    if isinstance(law, Deterministic):
-        return _Direct(law)
+    """draw(rng, n) for the law reweighted by exp(theta * x), built from
+    the closed forms of dist for every supported variant."""
+    if theta == 0.0 or isinstance(law, Deterministic):
+        return partial(sample_array, law)
     if isinstance(law, UniformInterval):
-        return _WindowLaw(law.lo, law.hi - law.lo, theta)
+        return partial(window_draw, law.lo, law.hi - law.lo, theta)
+    if isinstance(law, FiniteMixture):
+        weights = [w * mgf(comp, theta) for w, comp in law.components]
+        total = math.fsum(weights)
+        return partial(mixture_draw, [w / total for w in weights],
+                       [_tilt_law(comp, theta) for _, comp in law.components])
     if isinstance(law, ConditionedBelow):
         base = law.base
         if isinstance(base, Exponential):
-            return _WindowLaw(0.0, law.cutoff, theta - base.rate)
+            return partial(window_draw, 0.0, law.cutoff, theta - base.rate)
         if theta < base.rate:
-            return _Direct(ConditionedBelow(Erlang(base.shape,
-                                                   base.rate - theta),
-                                            law.cutoff))
+            return partial(sample_array,
+                           replace(law, base=replace(base, rate=base.rate - theta)))
         raise TiltUnavailableError(
             "tilting a below-cutoff Erlang past its rate has no closed form")
-    if isinstance(law, FiniteMixture):
-        weights = []
-        parts = []
-        for w, comp in law.components:
-            weights.append(w * mgf(comp, theta))
-            parts.append(_tilt_law(comp, theta))
-        total = math.fsum(weights)
-        return _MixedLaw([w / total for w in weights], parts)
-    raise TiltUnavailableError(f"unsupported law {type(law).__name__}")
+    # Exponential or Erlang: the same law at rate - theta
+    if theta >= law.rate:
+        raise TiltUnavailableError(
+            f"tilt {theta} reaches the {type(law).__name__} rate {law.rate}")
+    return partial(sample_array, replace(law, rate=law.rate - theta))
 
 
 @dataclass(frozen=True)
 class TiltedMeasure:
     nu: float
     psi_nu: float
-    arrival: object
-    service: object
+    arrival: SimpleNamespace
+    service: SimpleNamespace
 
 
 def tilt_measure(model: QueueModel) -> TiltedMeasure:
     """Exponential change of measure at the workload decay rate nu:
     services reweighted by exp(nu * b), inter-arrivals by exp(-psi(nu) * a).
-    There psi(nu) = nu and the tilted walk drifts upward."""
+    There psi(nu) = nu, and the tilted walk drifts upward exactly when
+    psi'(nu) > 1.  ``arrival.draw`` and ``service.draw`` sample the
+    tilted laws with dist's samplers, bound at call time."""
     nu, boundary = gamma_w_detail(model)
     if boundary:
         raise TiltUnavailableError(
             "the decay rate sits on the service MGF-domain boundary; "
             "no zero-crossing tilt exists")
-    drift = (mgf_deriv(model.service, nu) / mgf(model.service, nu)
-             - mgf_deriv(model.arrival, -nu) / mgf(model.arrival, -nu))
-    if not drift > 0.0:
+    slope = _psi_slope(model.arrival, model.service, nu, nu)
+    if not slope > 1.0:
         raise TiltUnavailableError(
-            f"tilted drift {drift} is not positive at nu={nu}")
+            f"psi'(nu) = {slope} <= 1 at nu={nu}: the tilted walk does not rise")
     return TiltedMeasure(nu=nu, psi_nu=nu,
-                         arrival=_tilt_law(model.arrival, -nu),
-                         service=_tilt_law(model.service, nu))
+                         arrival=SimpleNamespace(draw=_tilt_law(model.arrival, -nu)),
+                         service=SimpleNamespace(draw=_tilt_law(model.service, nu)))
 
 
 def is_workload_tail(model: QueueModel, x: float, replications: int,

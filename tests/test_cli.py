@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 import queuedecay.validate
-from queuedecay.cli import main
+from queuedecay.cli import _parse_grid, main
 from queuedecay.ratecalc import PriorityDecay, y_star
 from queuedecay.validate import run_criterion
 
@@ -233,6 +236,26 @@ def test_ystar_curve_bad_grid(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:inf:0.1", "0.1:0.2:nan",
+                                  "0.1:0.5:1e-300", "0:1:0.0001"])
+def test_ystar_curve_endless_or_huge_grid_is_one_error_line(grid):
+    # a child process with a deadline, so that a grid that never ends
+    # fails the test instead of hanging it
+    src = os.path.dirname(os.path.dirname(queuedecay.validate.__file__))
+    done = subprocess.run([sys.executable, "-m", "queuedecay", "ystar-curve",
+                           "--rho-grid", grid], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_ystar_curve_grid_points():
+    assert _parse_grid("0.3:0.7:0.2") == [0.3, 0.5, 0.7]
+    assert _parse_grid("0.5:0.5:1") == [0.5]
+    most = _parse_grid("0.0001:1:0.0001")
+    assert len(most) == 10_000 and most[0] == 0.0001 and most[-1] == 1.0
+
+
 def test_ystar_curve_per_point_errors_are_rows(capsys):
     # points at or past load 1 fill the error column instead of aborting
     code, out = _run(capsys, ["ystar-curve", "--rho-grid", "0.5:1.5:0.5",
@@ -359,3 +382,22 @@ def test_integral_float_shape_reads_as_an_integer(capsys, model_file):
     assert main(["rates", "--model", model_file(doc)]) == 0
     shape = json.loads(capsys.readouterr().out)["model"]["service"]["shape"]
     assert shape == 2 and isinstance(shape, int)
+
+
+def _nested_mixture(depth):
+    head = '{"type": "mixture", "components": [{"weight": 1.0, "dist": '
+    return head * depth + json.dumps(EXP1) + "}]}" * depth
+
+
+DEEP_SERVICE = {"brackets": "[" * 100_000 + "]" * 100_000,
+                "mixture": _nested_mixture(3_000)}
+
+
+@pytest.mark.parametrize("name", DEEP_SERVICE)
+def test_deeply_nested_model_file_ends_with_one_error_line(capsys, tmp_path, name):
+    path = tmp_path / "deep.json"
+    path.write_text('{"arrival": {"type": "exponential", "rate": 0.5}, '
+                    f'"service": {DEEP_SERVICE[name]}}}')
+    assert main(["rates", "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -237,6 +237,14 @@ def test_sampling_mixture_stream_discipline():
     assert np.array_equal(got, expect)
 
 
+def test_conditioned_exponential_draws_are_the_closed_form_inverse():
+    d = ConditionedBelow(Exponential(1.5), 2.0)
+    got = sample_array(d, stream(17, 0), 50_000)
+    u = stream(17, 0).random(50_000)
+    expect = -np.log1p(u * np.expm1(-1.5 * 2.0)) / 1.5
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
 def test_erlang_sampling_in_blocks_equals_one_draw():
     # 40 000 rows of 64 uniforms span three blocks of 2^20 uniforms
     d = Erlang(64, 2.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -137,6 +138,59 @@ def test_tilt_sampler_means_match_tilted_densities():
                - mgf(model.arrival, -tm.psi_nu + eps)) / (2 * eps)
     want_a /= mgf(model.arrival, -tm.psi_nu)
     assert arr.mean() == pytest.approx(want_a, rel=0.01)
+
+
+# one model per tilted-law form: Erlang arrivals and a uniform service;
+# a below-cutoff exponential tilted past and short of its base rate
+# (gamma_w 1.336 and 0.483); a below-cutoff Erlang; the atom split's
+# uniform and deterministic parts; nested mixtures on both sides
+TILT_MODELS = {
+    "erlang-uniform": QueueModel(Erlang(3, 1.5), UniformInterval(0.0, 1.5)),
+    "cond-exp-past-rate": QueueModel(Exponential(0.3),
+                                     ConditionedBelow(Exponential(1.0), 3.0)),
+    "cond-exp-below-rate": QueueModel(Exponential(0.8),
+                                      ConditionedBelow(Exponential(1.0), 3.0)),
+    "cond-erlang": QueueModel(Exponential(1.0),
+                              ConditionedBelow(Erlang(3, 4.0), 2.0)),
+    "atom-split": QueueModel(Exponential(1.0),
+                             split=Split(0.5, UniformInterval(0.0, 0.5),
+                                         Deterministic(1.0))),
+    "nested-mixture": QueueModel(
+        FiniteMixture(((0.5, Exponential(1.0)), (0.5, Erlang(2, 1.0)))),
+        FiniteMixture(((0.6, FiniteMixture(((0.5, Exponential(2.0)),
+                                            (0.5, UniformInterval(0.1, 0.9))))),
+                       (0.4, Deterministic(0.5))))),
+}
+
+# sha256 over 50 000 tilted arrival draws, 50 000 tilted service draws
+# (stream (3, 0) in that order) and the is_workload_tail pair at x = 5
+# with 200 replications, seed 9; the figures pin both paths bit for bit
+TILT_DIGESTS = {
+    "erlang-uniform":
+        "a18efdbcbf83548aee991c586954e7ad111c7ebdc114eced22db15b78776274a",
+    "cond-exp-past-rate":
+        "83b9ba4225bc1ec8365ed670cd4f6573fcff99bd0f2f126ecc219642769c55bd",
+    "cond-exp-below-rate":
+        "ee9f0dfe83ef210eca0a7147b1f5e79e97a57306666ce85e61e21631da920098",
+    "cond-erlang":
+        "f03c203effa6607f3ef59aed82e37e7ff550a58928897b8ba98108edbd19c368",
+    "atom-split":
+        "602475a8b666f047d7eb880091551eeab07c57a21a117201474478cba54a3774",
+    "nested-mixture":
+        "29eb7da9fae264da82721c5612182600dd5d6c31f91dd46dd6fc5bf9d79ffdfb",
+}
+
+
+@pytest.mark.parametrize("name", TILT_DIGESTS)
+def test_tilted_draws_and_estimates_match_pinned_digests(name):
+    model = TILT_MODELS[name]
+    tm = tilt_measure(model)
+    rng = stream(3, 0)
+    h = hashlib.sha256()
+    h.update(tm.arrival.draw(rng, 50_000).tobytes())
+    h.update(tm.service.draw(rng, 50_000).tobytes())
+    h.update(np.array(is_workload_tail(model, 5.0, 200, 9)).tobytes())
+    assert h.hexdigest() == TILT_DIGESTS[name]
 
 
 def test_tilt_unavailable_for_unsupported_laws():
