@@ -567,8 +567,18 @@ def json_number(obj: dict, key: str, integral: bool = False):
     return int(value)
 
 
+_MAX_NESTING = 100
+
+
 def from_json(obj: dict) -> DistributionSpec:
-    """Parse the JSON object form; raises ValueError on malformed input."""
+    """Parse the JSON object form; raises ValueError on malformed input,
+    including a law nested more than _MAX_NESTING levels deep."""
+    return _from_json(obj, _MAX_NESTING)
+
+
+def _from_json(obj, levels: int) -> DistributionSpec:
+    if levels == 0:
+        raise ValueError(f"distribution nests more than {_MAX_NESTING} levels")
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("distribution JSON must be an object with a 'type'")
     t = obj["type"]
@@ -583,12 +593,12 @@ def from_json(obj: dict) -> DistributionSpec:
             return Erlang(json_number(obj, "shape", integral=True),
                           json_number(obj, "rate"))
         if t == "conditioned_below":
-            base = from_json(obj["base"])
+            base = _from_json(obj["base"], levels - 1)
             if not isinstance(base, (Exponential, Erlang)):
                 raise ValueError("conditioned_below base must be exponential or erlang")
             return ConditionedBelow(base, json_number(obj, "cutoff"))
         if t == "mixture":
-            comps = tuple((json_number(c, "weight"), from_json(c["dist"]))
+            comps = tuple((json_number(c, "weight"), _from_json(c["dist"], levels - 1))
                           for c in obj["components"])
             return FiniteMixture(comps)
     except (KeyError, TypeError) as exc:

@@ -195,14 +195,17 @@ def _slope_excess(s: float, arrival, service) -> float:
         return math.inf
 
 
-def _argmax(arrival, service, end: float) -> float:
-    # argmax of the concave s - psi(s) on [0, end]
+def _program(arrival, service, end: float) -> Tuple[float, float]:
+    # (max, argmax) of the concave s - psi(s) on [0, end]: the root of
+    # psi'(s) = 1, or end when psi' < 1 all the way there
     points = _doublings() if math.isinf(end) else (end,)
     s_opt = find_root(_slope_excess, (arrival, service), 0.0,
                       _value(0.0, _slope_excess, arrival, service), points)
-    if s_opt is None and math.isinf(end):
-        raise NumericalFailure("no concave turnover within the expansion budget")
-    return end if s_opt is None else s_opt
+    if s_opt is None:
+        if math.isinf(end):
+            raise NumericalFailure("no concave turnover within the expansion budget")
+        s_opt = end
+    return s_opt - psi(arrival, service, s_opt), s_opt
 
 
 def psi(arrival: DistributionSpec, service: DistributionSpec, s: float) -> float:
@@ -227,9 +230,10 @@ def _class1_service(p: float, class1: DistributionSpec) -> DistributionSpec:
 def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:
     """(gamma_w, boundary_flag).
 
-    The flag is True when Phi_A(-s) Phi_B(s) never exceeds one on the
-    mgf domain, in which case the sup-definition yields the abscissa
-    s_max(B) itself rather than a root.
+    Every finite abscissa s_max(B) in this algebra is a pole of Phi_B,
+    so Phi_A(-s) Phi_B(s) always crosses one below it.  The flag is True
+    when that crossing lies within the search margin (1e-9 relative) of
+    s_max(B); the abscissa itself is then returned as the rate.
     """
     args = (model.arrival, model.service)
     cap = _usable_cap(model.service)
@@ -260,9 +264,7 @@ def gamma_w(model: QueueModel) -> float:
 
 def gamma_p_detail(model: QueueModel) -> Tuple[float, float]:
     """(gamma_p, argmax) of the concave program sup_{s>=0} {s - psi(s)}."""
-    arrival, service = model.arrival, model.service
-    s_opt = _argmax(arrival, service, _usable_cap(service))
-    return s_opt - psi(arrival, service, s_opt), s_opt
+    return _program(model.arrival, model.service, _usable_cap(model.service))
 
 
 def gamma_p(model: QueueModel) -> float:
@@ -281,7 +283,7 @@ def gamma_p_trunc(model: QueueModel, y: float) -> float:
     truncated = truncate_below(model.service, y)
     if not ess_sup(truncated) > ess_inf(model.arrival):
         return math.inf
-    return gamma_p(QueueModel(model.arrival, truncated))
+    return _program(model.arrival, truncated, _usable_cap(truncated))[0]
 
 
 def gamma_w2(model: QueueModel) -> PriorityDecay:
@@ -296,21 +298,21 @@ def gamma_w2(model: QueueModel) -> PriorityDecay:
     """
     if model.split is None:
         raise ValueError("model has no class split")
-    return _gamma_w2(model, gamma_w(model))
+    return _gamma_w2(model.arrival, model.split.p, model.split.class1,
+                     gamma_w(model))
 
 
-def _gamma_w2(model: QueueModel, gw: float) -> PriorityDecay:
-    arrival = model.arrival
-    service1 = _class1_service(model.split.p, model.split.class1)
+def _gamma_w2(arrival: DistributionSpec, p: float, class1: DistributionSpec,
+              gw: float) -> PriorityDecay:
+    service1 = _class1_service(p, class1)
     cap1 = _usable_cap(service1)
     if gw < cap1:
         u_gw = psi(arrival, service1, gw)
         slope = _psi_slope(arrival, service1, gw, u_gw)
         if slope < 1.0:
             return PriorityDecay(gw - u_gw, "boundary", gw, 1.0 - slope)
-    s_opt = _argmax(arrival, service1, min(gw, cap1))
-    return PriorityDecay(s_opt - psi(arrival, service1, s_opt), "interior",
-                         s_opt, 0.0)
+    rate, s_opt = _program(arrival, service1, min(gw, cap1))
+    return PriorityDecay(rate, "interior", s_opt, 0.0)
 
 
 def gamma_v_srpt(model: QueueModel) -> SrptDecay:
@@ -333,9 +335,8 @@ def _srpt(model: QueueModel, q: float, x_b: float,
         gw = gamma_w(model)
     if q >= 1.0:
         return SrptDecay(gw, "deterministic"), None
-    aux = QueueModel(model.arrival,
-                     split=Split(1.0 - q, class1, Deterministic(x_b)))
-    pr = _gamma_w2(aux, gw)
+    # the auxiliary priority queue: class 1 is the law below the atom
+    pr = _gamma_w2(model.arrival, 1.0 - q, class1, gw)
     return SrptDecay(pr.rate, "atom"), pr
 
 
@@ -345,51 +346,37 @@ def poisson_rates(lam: float, service: Optional[DistributionSpec] = None,
 
     gamma_w solves s = lam * (Phi_B(s) - 1).  With a split, gamma_w2 is
     gamma_w - lam1 * (Phi_B1(gamma_w) - 1) provided the slope guard
-    lam1 * Phi_B1'(gamma_w) < 1 holds; otherwise the program is interior
-    and the class-1 busy-period rate is returned instead.  With a
-    service endpoint atom q, gamma_v is the atom formula
-    lam * q * (exp(x_B * gamma_w) - 1), whose own guard thins by 1 - q;
-    when that guard fails the generic program's value is returned.
-    guard_ok is the conjunction of the guards of the closed forms
-    emitted, or None when nothing guarded applied.
+    lam1 * Phi_B1'(gamma_w) < 1 holds.  With a service endpoint atom q,
+    gamma_v is the atom formula lam * q * (exp(x_B * gamma_w) - 1), whose
+    own guard thins by 1 - q; a deterministic service gives
+    lam * (exp(x_B * gamma_w) - 1).  A rate whose guard fails is None:
+    its program is interior and has no closed form.  guard_ok is the
+    conjunction of the guards checked, or None when nothing guarded
+    applied.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     model = QueueModel(Exponential(lam), service, split)
-    service = model.service
     gw, boundary = gamma_w_detail(model)
     if boundary:
         raise NumericalFailure("no root of the arrival-rate fixed point")
-    gw2 = None
+    # gamma_w < s_max(service) <= s_max(class1), and the law below a
+    # finite atom is bounded, so neither guard leaves an mgf domain
+    gw2 = gv = None
     guards = []
     if split is not None:
         lam1 = split.p * lam
-        try:
-            ok = lam1 * mgf_deriv(split.class1, gw) < 1.0
-        except OutOfDomainError:
-            ok = False
-        guards.append(ok)
-        if ok:
+        guards.append(lam1 * mgf_deriv(split.class1, gw) < 1.0)
+        if guards[-1]:
             gw2 = gw - lam1 * (mgf(split.class1, gw) - 1.0)
-        else:
-            gw2 = gamma_p(QueueModel(Exponential(lam1), split.class1))
-    q, x_b, below = split_endpoint_atom(service)
-    gv = None
+    q, x_b, below = split_endpoint_atom(model.service)
     if q >= 1.0:
         gv = lam * math.expm1(x_b * gw)
     elif q > 0.0:
-        lam1 = lam * (1.0 - q)
-        try:
-            ok = lam1 * mgf_deriv(below, gw) < 1.0
-        except OutOfDomainError:
-            ok = False
-        guards.append(ok)
-        if ok:
+        guards.append(lam * (1.0 - q) * mgf_deriv(below, gw) < 1.0)
+        if guards[-1]:
             gv = lam * q * math.expm1(x_b * gw)
-        else:
-            gv = gamma_v_srpt(model).rate
-    guard = all(guards) if guards else None
-    return PoissonRates(gw, gw2, gv, guard)
+    return PoissonRates(gw, gw2, gv, all(guards) if guards else None)
 
 
 def _cutoff_excess(y: float, model: QueueModel, gw: float) -> float:
@@ -442,7 +429,7 @@ def decay_report(model: QueueModel) -> DecayReport:
     if model.split is not None:
         # the split's program, not the atom case's auxiliary one, gives
         # regime, s_opt and a
-        pr = _gamma_w2(model, gw)
+        pr = _gamma_w2(model.arrival, model.split.p, model.split.class1, gw)
         gw2 = pr.rate
     regime = s_opt = a_frac = None
     if pr is not None:

@@ -54,12 +54,14 @@ class TailFit:
                 "points": self.points_used, "ci": ci}
 
 
-def _ccdf_slope(x: np.ndarray, lo_quantile: float, drop_top: int,
-                min_points: int):
+_DROP_TOP = 10
+
+
+def _ccdf_slope(x: np.ndarray, lo_quantile: float, min_points: int):
     x = np.sort(x)
     n = x.size
     x_lo = x[int(np.ceil(lo_quantile * n)) - 1]
-    x_hi = x[n - drop_top]
+    x_hi = x[n - _DROP_TOP]
     vals, counts = np.unique(x, return_counts=True)
     tail = n - np.cumsum(counts)        # count strictly greater than vals[i]
     m = (vals >= x_lo) & (vals <= x_hi) & (tail > 0)
@@ -77,12 +79,11 @@ def _ccdf_slope(x: np.ndarray, lo_quantile: float, drop_top: int,
     return -slope, se, (float(x_lo), float(x_hi)), len(xs)
 
 
-def fit_decay(samples, lo_quantile: float = 0.99, drop_top: int = 10,
-              min_points: int = 500, bootstrap: int = 0,
-              seed: int = 0) -> TailFit:
+def fit_decay(samples, lo_quantile: float = 0.99, min_points: int = 500,
+              bootstrap: int = 0, seed: int = 0) -> TailFit:
     """Least-squares slope of the log empirical ccdf over the window
-    between the lo_quantile sample and the point where drop_top order
-    statistics remain; the decay rate estimate is minus that slope.
+    between the lo_quantile sample and the tenth-largest sample; the
+    decay rate estimate is minus that slope.
 
     bootstrap > 0 adds a percentile confidence interval from that many
     customer-level resamples.
@@ -96,9 +97,7 @@ def fit_decay(samples, lo_quantile: float = 0.99, drop_top: int = 10,
         raise ValueError("samples must be nonnegative")
     if not 0.0 < lo_quantile < 1.0:
         raise ValueError("lo_quantile must lie in (0, 1)")
-    if drop_top < 1 or drop_top >= x.size:
-        raise ValueError("drop_top out of range")
-    rate, se, window, pts = _ccdf_slope(x, lo_quantile, drop_top, min_points)
+    rate, se, window, pts = _ccdf_slope(x, lo_quantile, min_points)
     ci = None
     if bootstrap > 0:
         rng = stream(seed, 0)
@@ -106,8 +105,7 @@ def fit_decay(samples, lo_quantile: float = 0.99, drop_top: int = 10,
         for _ in range(bootstrap):
             pick = rng.integers(0, x.size, x.size)
             try:
-                r, _, _, _ = _ccdf_slope(x[pick], lo_quantile, drop_top,
-                                         min_points)
+                r, _, _, _ = _ccdf_slope(x[pick], lo_quantile, min_points)
             except DegenerateTailError:
                 continue
             rates.append(r)
@@ -207,8 +205,8 @@ def tilt_measure(model: QueueModel) -> TiltedMeasure:
     nu, boundary = gamma_w_detail(model)
     if boundary:
         raise TiltUnavailableError(
-            "the decay rate sits on the service MGF-domain boundary; "
-            "no zero-crossing tilt exists")
+            "the decay rate lies within the search margin of the service "
+            "MGF abscissa, where the tilted service law does not exist")
     slope = _psi_slope(model.arrival, model.service, nu, nu)
     if not slope > 1.0:
         raise TiltUnavailableError(

@@ -389,15 +389,22 @@ def _nested_mixture(depth):
     return head * depth + json.dumps(EXP1) + "}]}" * depth
 
 
-DEEP_SERVICE = {"brackets": "[" * 100_000 + "]" * 100_000,
-                "mixture": _nested_mixture(3_000)}
+# a 300-deep mixture parses within the interpreter's recursion limit, but
+# the solvers and the simulator recurse further than the parser does
+DEEP_SERVICE = {"brackets": (["rates"], "[" * 100_000 + "]" * 100_000),
+                "mixture": (["rates"], _nested_mixture(3_000)),
+                "mixture-300": (["rates"], _nested_mixture(300)),
+                "mixture-300-ystar": (["rates", "--ystar"], _nested_mixture(300)),
+                "mixture-300-simulate": (["simulate", "--customers", "1000"],
+                                         _nested_mixture(300))}
 
 
 @pytest.mark.parametrize("name", DEEP_SERVICE)
 def test_deeply_nested_model_file_ends_with_one_error_line(capsys, tmp_path, name):
+    command, service = DEEP_SERVICE[name]
     path = tmp_path / "deep.json"
     path.write_text('{"arrival": {"type": "exponential", "rate": 0.5}, '
-                    f'"service": {DEEP_SERVICE[name]}}}')
-    assert main(["rates", "--model", str(path)]) == 1
+                    f'"service": {service}}}')
+    assert main(command + ["--model", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1

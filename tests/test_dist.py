@@ -283,6 +283,22 @@ def test_json_round_trip(d):
             pass
 
 
+def _nested(levels):
+    obj = {"type": "exponential", "rate": 1.0}
+    for _ in range(levels - 1):
+        obj = {"type": "mixture", "components": [{"weight": 1.0, "dist": obj}]}
+    return obj
+
+
+def test_from_json_nests_at_most_a_hundred_levels():
+    assert to_json(from_json(_nested(100))) == _nested(100)
+    with pytest.raises(ValueError, match="more than 100 levels"):
+        from_json(_nested(101))
+    with pytest.raises(ValueError, match="more than 100 levels"):
+        from_json({"type": "conditioned_below", "cutoff": 1.0,
+                   "base": _nested(100)})
+
+
 def test_from_json_rejects_garbage():
     with pytest.raises(ValueError):
         from_json({"type": "cauchy"})

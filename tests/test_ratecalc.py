@@ -151,14 +151,23 @@ def test_poisson_rates_guard_ok_matches_generic():
     assert rates.gamma_w == pytest.approx(gamma_w(TWO_ATOM), abs=1e-10)
 
 
-def test_poisson_rates_guard_fail_falls_back_to_generic():
-    # interior-regime split: the closed form's validity guard fails and the
-    # generic program is used instead
+def test_poisson_rates_guard_fail_has_no_closed_form():
+    # interior-regime split: the closed form's validity guard fails, and
+    # the rate it guards has no closed form
     split = Split(0.5, Exponential(4.0), Exponential(4.0))
     rates = poisson_rates(1.0, split=split)
     assert not rates.guard_ok
-    model = QueueModel(Exponential(1.0), split=split)
-    assert rates.gamma_w2 == pytest.approx(gamma_w2(model).rate, abs=1e-10)
+    assert rates.gamma_w2 is None
+    assert rates.gamma_w == pytest.approx(3.0, abs=1e-9)
+    assert gamma_w2(QueueModel(Exponential(1.0), split=split)).regime == "interior"
+
+
+def test_poisson_rates_deterministic_service_is_the_workload_rate():
+    # q = 1: lam * (exp(x_B * gamma_w) - 1) = gamma_w by the fixed point
+    rates = poisson_rates(0.5, service=Deterministic(1.0))
+    assert rates.guard_ok is None and rates.gamma_w2 is None
+    assert rates.gamma_v == pytest.approx(gamma_v_srpt(MD1).rate, rel=1e-12)
+    assert gamma_v_srpt(MD1).case == "deterministic"
 
 
 def test_poisson_rates_boundary_matches_closed_form():
@@ -167,6 +176,17 @@ def test_poisson_rates_boundary_matches_closed_form():
     model = QueueModel(Exponential(1.0), split=split)
     assert rates.guard_ok
     assert rates.gamma_w2 == pytest.approx(gamma_w2(model).rate, abs=1e-8)
+
+
+def test_gamma_w_boundary_flag_within_the_search_margin():
+    # Phi_A(-s) Phi_B(s) = exp(-30 s) / (1 - s) crosses one at s = 1 - eps
+    # with eps = exp(-30 (1 - eps)), about e^-30: inside the 1e-9 margin
+    # below the pole s_max = 1
+    model = QueueModel(Deterministic(30.0), Exponential(1.0))
+    assert gamma_w_detail(model) == (1.0, True)
+    eps = math.exp(-30.0 * (1.0 - math.exp(-30.0)))
+    assert eps == pytest.approx(math.exp(-30.0 * (1.0 - eps)), rel=1e-12)
+    assert 0.0 < eps <= 1e-12
 
 
 def test_gamma_v_srpt_dispatch():

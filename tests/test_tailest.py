@@ -65,8 +65,6 @@ def test_fit_input_validation():
         fit_decay(bad)
     with pytest.raises(ValueError):
         fit_decay(_exp_samples(10_000, 1.0), lo_quantile=1.0)
-    with pytest.raises(ValueError):
-        fit_decay(_exp_samples(10_000, 1.0), drop_top=0)
 
 
 def test_bootstrap_ci_covers_truth():
@@ -199,6 +197,13 @@ def test_tilt_unavailable_for_unsupported_laws():
     assert gamma_w(hard) > 1.0
     with pytest.raises(TiltUnavailableError):
         tilt_measure(hard)
+
+
+def test_tilt_unavailable_when_the_rate_is_the_service_abscissa():
+    # gamma_w = 1 - e^-30 lies within the search margin of s_max(B) = 1
+    boundary = QueueModel(Deterministic(30.0), Exponential(1.0))
+    with pytest.raises(TiltUnavailableError, match="search margin"):
+        tilt_measure(boundary)
 
 
 def test_is_workload_tail_at_zero_matches_load():
