@@ -1,9 +1,11 @@
-/* The Lindley recursion and the event loops of simqueue, in C99.
+/* The Lindley recursion and the two event loops of simqueue, in C99:
+ * FIFO's chain, and serve, one loop for the other five disciplines with
+ * an order on the waiting jobs and a preemption rule each.
  *
  * Each function repeats the Python function of the same name in
  * simqueue.py operation for operation: the same double-double updates in
- * the same order, completion before arrival on a tie, and the SRPT heap
- * ordered on (rh, rl, index) as Python orders tuples.  Their outputs are
+ * the same order, completion before arrival on a tie, and the heap
+ * ordered on (key, rl, index) as Python orders tuples.  Their outputs are
  * therefore bitwise those of the Python loops, provided every operation
  * rounds to double on its own: build with -ffp-contract=off (no fused
  * multiply-add) and never with -ffast-math or -Ofast.
@@ -20,9 +22,10 @@
 #error "double operations must round to double one at a time"
 #endif
 
-/* a job waiting with remaining work rh + rl; _kernels.JOB mirrors it */
+/* job i with remaining work rh + rl, waiting on its key in serve's heap;
+ * _kernels.JOB mirrors it */
 typedef struct {
-    double rh, rl;
+    double key, rh, rl;
     int64_t i;
 } job;
 
@@ -52,17 +55,14 @@ static void chain(double rh, double rl, double *ch, double *cl)
     *cl = lo - (*ch - s);
 }
 
-/* the work of job i left at an arrival t */
-static job left(double ch, double cl, double t, int64_t i)
+/* the work of the active job r left at an arrival t */
+static void left(double ch, double cl, double t, job *r)
 {
     double s = ch - t;
     double bb = s - ch;
     double lo = cl + ((ch - (s - bb)) - (t + bb));
-    job r;
-    r.rh = s + lo;
-    r.rl = lo - (r.rh - s);
-    r.i = i;
-    return r;
+    r->rh = s + lo;
+    r->rl = lo - (r->rh - s);
 }
 
 void lindley_workload(const double *a, const double *b, int64_t n, double *w)
@@ -96,48 +96,22 @@ void fifo(const double *arrival, const double *service, int64_t n,
     }
 }
 
-/* The loops below run over the arrivals and then one at +inf, which
- * drains the system. */
+/* The orders of the waiting jobs in serve; simqueue uses the same codes. */
+enum { LIFO, SRPT, PRIO };
 
-void lifo_pr(const double *arrival, const double *service, int64_t n,
-             double *depart, job *stack)
-{
-    int64_t top = 0, active = -1;
-    double ch = 0.0, cl = 0.0;
-    for (int64_t i = 0; i <= n; i++) {
-        double t = i < n ? arrival[i] : INFINITY;
-        while (active >= 0 && done_by(ch, cl, t)) {
-            depart[active] = ch + cl;
-            if (top == 0) {
-                active = -1;
-                break;
-            }
-            job r = stack[--top];
-            active = r.i;
-            chain(r.rh, r.rl, &ch, &cl);
-        }
-        if (i == n)
-            break;
-        if (active >= 0)
-            stack[top++] = left(ch, cl, t, active);
-        start(t, service[i], &ch, &cl);
-        active = i;
-    }
-}
-
-/* (rh, rl, i) compared like a Python tuple */
+/* (key, rl, i) compared like a Python tuple */
 static int before(const job *x, const job *y)
 {
-    if (x->rh != y->rh)
-        return x->rh < y->rh;
+    if (x->key != y->key)
+        return x->key < y->key;
     if (x->rl != y->rl)
         return x->rl < y->rl;
     return x->i < y->i;
 }
 
-static void heap_push(job *heap, int64_t *size, job x)
+/* put x at slot k of the heap, or above it where it sorts first */
+static void sift_up(job *heap, int64_t k, job x)
 {
-    int64_t k = (*size)++;
     while (k > 0) {
         int64_t up = (k - 1) / 2;
         if (!before(&x, &heap[up]))
@@ -148,129 +122,69 @@ static void heap_push(job *heap, int64_t *size, job x)
     heap[k] = x;
 }
 
+/* take the first job: its slot sinks to a leaf along the lesser children,
+ * and the last job rises from there, as Python's heapq does */
 static job heap_pop(job *heap, int64_t *size)
 {
     job top = heap[0];
-    job x = heap[--*size];
-    int64_t k = 0, m = *size;
-    for (;;) {
-        int64_t c = 2 * k + 1;
-        if (c >= m)
-            break;
+    int64_t k = 0, c, m = --*size;
+    while ((c = 2 * k + 1) < m) {
         if (c + 1 < m && before(&heap[c + 1], &heap[c]))
             c++;
-        if (!before(&heap[c], &x))
-            break;
         heap[k] = heap[c];
         k = c;
     }
-    heap[k] = x;
+    sift_up(heap, k, heap[m]);
     return top;
 }
 
-void srpt(const double *arrival, const double *service, int64_t n,
-          int preemptive, double *first, double *depart, job *heap)
+/* The other five disciplines: the waiting jobs in one heap on their key,
+ * which is -i under LIFO, the work left under SRPT and the class, then the
+ * index, under PRIO.  A preemptive arrival displaces the active job when
+ * its key sorts first.  The loop runs over the arrivals and then one at
+ * +inf, which drains the system. */
+void serve(const double *arrival, const double *service, const int8_t *cls,
+           int64_t n, int order, int preemptive, double *first,
+           double *depart, job *heap)
 {
-    int64_t size = 0, active = -1;
+    int64_t size = 0;
+    job active = {0.0, 0.0, 0.0, -1};
     double ch = 0.0, cl = 0.0;
     for (int64_t i = 0; i <= n; i++) {
         double t = i < n ? arrival[i] : INFINITY;
-        while (active >= 0 && done_by(ch, cl, t)) {
+        while (active.i >= 0 && done_by(ch, cl, t)) {
             double now = ch + cl;
-            depart[active] = now;
+            depart[active.i] = now;
             if (size == 0) {
-                active = -1;
+                active.i = -1;
                 break;
             }
-            job r = heap_pop(heap, &size);
-            active = r.i;
-            if (first[active] != first[active])
-                first[active] = now;
-            chain(r.rh, r.rl, &ch, &cl);
+            active = heap_pop(heap, &size);
+            if (first[active.i] != first[active.i])
+                first[active.i] = now;
+            chain(active.rh, active.rl, &ch, &cl);
         }
         if (i == n)
             break;
         double b = service[i];
-        job fresh = {b, 0.0, i};
-        if (active >= 0) {
-            if (!preemptive) {
-                heap_push(heap, &size, fresh);
+        double key = order == SRPT ? b : order == LIFO ? -(double)i
+                     : (double)(cls[i] == 1 ? i : n + i);
+        job fresh = {key, b, 0.0, i};
+        if (active.i >= 0) {
+            job held = active;
+            if (preemptive) {
+                left(ch, cl, t, &held);
+                if (order == SRPT)
+                    held.key = held.rh;
+            }
+            if (!preemptive || !before(&fresh, &held)) {
+                sift_up(heap, size++, fresh);
                 continue;
             }
-            job r = left(ch, cl, t, active);
-            if (!(b < r.rh || (b == r.rh && r.rl > 0.0))) {
-                heap_push(heap, &size, fresh);
-                continue;
-            }
-            heap_push(heap, &size, r);
+            sift_up(heap, size++, held);
         }
         first[i] = t;
         start(t, b, &ch, &cl);
-        active = i;
-    }
-}
-
-/* A FIFO queue in jobs[head, tail).  It restarts at slot 1 whenever it
- * empties, so it walks no further than its longest nonempty stretch, and
- * slot 0 is free for the one job a preemption puts back at the head: a
- * class-2 job is active only when the preempted one before it has been
- * taken off the head again, so there is never a second. */
-typedef struct {
-    job *jobs;
-    int64_t head, tail;
-} queue;
-
-static job take(queue *q)
-{
-    job r = q->jobs[q->head++];
-    if (q->head == q->tail)
-        q->head = q->tail = 1;
-    return r;
-}
-
-void priority(const double *arrival, const double *service,
-              const int8_t *cls, int64_t n, int preemptive, double *first,
-              double *depart, job *scratch1, job *scratch2)
-{
-    queue q1 = {scratch1, 1, 1}, q2 = {scratch2, 1, 1};
-    int64_t active = -1;
-    double ch = 0.0, cl = 0.0;
-    for (int64_t i = 0; i <= n; i++) {
-        double t = i < n ? arrival[i] : INFINITY;
-        while (active >= 0 && done_by(ch, cl, t)) {
-            double now = ch + cl;
-            depart[active] = now;
-            job r;
-            if (q1.head < q1.tail) {
-                r = take(&q1);
-            } else if (q2.head < q2.tail) {
-                r = take(&q2);
-            } else {
-                active = -1;
-                break;
-            }
-            active = r.i;
-            if (first[active] != first[active])
-                first[active] = now;
-            chain(r.rh, r.rl, &ch, &cl);
-        }
-        if (i == n)
-            break;
-        double b = service[i];
-        job fresh = {b, 0.0, i};
-        if (active >= 0) {
-            if (cls[i] != 1) {
-                q2.jobs[q2.tail++] = fresh;
-                continue;
-            }
-            if (!(preemptive && cls[active] == 2)) {
-                q1.jobs[q1.tail++] = fresh;
-                continue;
-            }
-            q2.jobs[--q2.head] = left(ch, cl, t, active);
-        }
-        first[i] = t;
-        start(t, b, &ch, &cl);
-        active = i;
+        active = fresh;
     }
 }

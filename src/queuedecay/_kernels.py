@@ -25,8 +25,9 @@ import numpy as np
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # the flags are part of correctness: no fused multiply-add, no fast math
 CFLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# a job waiting in a queue: struct job of _kernels.c
-JOB = np.dtype([("rh", np.float64), ("rl", np.float64), ("i", np.int64)])
+# a job waiting in serve's heap: struct job of _kernels.c
+JOB = np.dtype([("key", np.float64), ("rh", np.float64), ("rl", np.float64),
+                ("i", np.int64)])
 
 
 def compiler() -> list:
@@ -92,9 +93,7 @@ class Kernels:
         n, flag = ctypes.c_int64, ctypes.c_int
         for name, args in (("lindley_workload", (f64, f64, n, f64)),
                            ("fifo", (f64, f64, n, f64, f64)),
-                           ("lifo_pr", (f64, f64, n, f64, job)),
-                           ("srpt", (f64, f64, n, flag, f64, f64, job)),
-                           ("priority", (f64, f64, i8, n, flag, f64, f64, job, job))):
+                           ("serve", (f64, f64, i8, n, flag, flag, f64, f64, job))):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = args, None
         self._lib = lib
@@ -110,23 +109,10 @@ class Kernels:
         self._lib.fifo(arrival, service, n, first, depart)
         return first, depart
 
-    def lifo_pr(self, arrival, service):
-        n = len(arrival)
-        first, depart = arrival.copy(), np.empty(n)
-        self._lib.lifo_pr(arrival, service, n, depart, np.empty(n, JOB))
-        return first, depart
-
-    def srpt(self, arrival, service, preemptive):
+    def serve(self, arrival, service, cls, order, preemptive):
+        # at most n - 1 jobs wait at once
         n = len(arrival)
         first, depart = np.full(n, math.nan), np.empty(n)
-        self._lib.srpt(arrival, service, n, preemptive, first, depart,
-                       np.empty(n, JOB))
-        return first, depart
-
-    def priority(self, arrival, service, cls, preemptive):
-        # each queue restarts at slot 1 and takes at most n appends
-        n = len(arrival)
-        first, depart = np.full(n, math.nan), np.empty(n)
-        self._lib.priority(arrival, service, cls, n, preemptive, first, depart,
-                           np.empty(n + 1, JOB), np.empty(n + 1, JOB))
+        self._lib.serve(arrival, service, cls, n, order, preemptive, first,
+                        depart, np.empty(n, JOB))
         return first, depart

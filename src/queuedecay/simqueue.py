@@ -14,7 +14,9 @@ spacing of float64).  Workload at arrival and busy periods come from
 the canonical recursion on the shared streams, which makes them
 discipline-independent by construction.  A run splits into a stream
 stage, memoised on (model, n, seed) so that coupled runs share it, and
-one event loop per queue structure.
+an event loop: FIFO's chain, which keeps no queue, or one loop for the
+other five disciplines, each of which is an order on the waiting jobs
+plus a preemption rule.
 
 The recursion and the event loops run compiled from ``_kernels.c`` when
 a C compiler works here (built on first use into a per-user cache), and
@@ -26,7 +28,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -47,6 +48,19 @@ class Discipline(Enum):
     SRPT_NP = "srpt-np"
     PRIO_PR = "prio-pr"
     PRIO_NP = "prio-np"
+
+
+# the disciplines other than FIFO as (order of the waiting jobs, whether an
+# arrival that sorts first displaces the active job); the order codes are
+# those of _kernels.c
+_LIFO, _SRPT, _PRIO = range(3)
+_SERVE = {
+    Discipline.LIFO_PR: (_LIFO, True),
+    Discipline.SRPT_PR: (_SRPT, True),
+    Discipline.SRPT_NP: (_SRPT, False),
+    Discipline.PRIO_PR: (_PRIO, True),
+    Discipline.PRIO_NP: (_PRIO, False),
+}
 
 
 @dataclass
@@ -180,14 +194,8 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
     loops = _loops()
     if discipline is Discipline.FIFO:
         first, depart = loops.fifo(arrival, service)
-    elif discipline is Discipline.LIFO_PR:
-        first, depart = loops.lifo_pr(arrival, service)
-    elif discipline in (Discipline.SRPT_PR, Discipline.SRPT_NP):
-        first, depart = loops.srpt(arrival, service,
-                                   discipline is Discipline.SRPT_PR)
     else:
-        first, depart = loops.priority(arrival, service, cls,
-                                       discipline is Discipline.PRIO_PR)
+        first, depart = loops.serve(arrival, service, cls, *_SERVE[discipline])
     return SimOutput(
         discipline=discipline, warmup=int(warmup_fraction * n),
         arrival_time=arrival, service_time=service, customer_class=cls,
@@ -207,10 +215,10 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
 #       s = ch - t; bb = s - ch; lo = cl + ((ch - (s - bb)) - (t + bb))
 #       rh = s + lo; rl = lo - (rh - s).
 # A completion at (ch, cl) comes before an arrival at t exactly when
-# ch < t or (ch == t and cl <= 0.0).  The loops other than FIFO run over
-# the arrivals plus an infinite one that drains the system.  They index
-# the arrays through memoryviews, as fast as lists and with no list to
-# build or convert back.
+# ch < t or (ch == t and cl <= 0.0).  FIFO chains each customer on its
+# predecessor; ``_serve`` runs the other disciplines over the arrivals plus
+# an infinite one that drains the system.  Both index the arrays through
+# memoryviews, as fast as lists and with no list to build or convert back.
 
 
 def _fifo(arrival, service):
@@ -238,68 +246,27 @@ def _fifo(arrival, service):
     return first, depart
 
 
-def _events(arrival):
-    # the arrival epochs and then +inf, which drains the system
-    return enumerate(memoryview(np.append(arrival, math.inf)))
-
-
-def _lifo_pr(arrival, service):
-    # every arrival starts at once; the interrupted job goes on a stack
-    n = len(arrival)
-    first, depart = arrival.copy(), np.empty(n)
-    d, svc = memoryview(depart), memoryview(service)
-    stack = []
-    push, pop = stack.append, stack.pop
-    active = -1
-    ch = cl = 0.0
-    for i, t in _events(arrival):
-        while active >= 0 and (ch < t or (ch == t and cl <= 0.0)):
-            d[active] = ch + cl
-            if not stack:
-                active = -1
-                break
-            active, rh, rl = pop()
-            s = ch + rh
-            bb = s - ch
-            lo = cl + rl + ((ch - (s - bb)) + (rh - bb))
-            ch = s + lo
-            cl = lo - (ch - s)
-        if i == n:
-            break
-        if active >= 0:
-            s = ch - t
-            bb = s - ch
-            lo = cl + ((ch - (s - bb)) - (t + bb))
-            rh = s + lo
-            push((active, rh, lo - (rh - s)))
-        b = svc[i]
-        s = t + b
-        bb = s - t
-        lo = 0.0 + ((t - (s - bb)) + (b - bb))
-        ch = s + lo
-        cl = lo - (ch - s)
-        active = i
-    return first, depart
-
-
-def _srpt(arrival, service, preemptive):
-    # a heap of (remaining hi, remaining lo, customer); a preemptive arrival
-    # displaces the active job when its work is strictly smaller
+def _serve(arrival, service, cls, order, preemptive):
+    # one heap of waiting jobs (key, rl, customer, rh): the key is -i under
+    # LIFO, the work left under SRPT and the class, then the index, under
+    # PRIO; the customer breaks ties, so rh is never compared.  A preemptive
+    # arrival displaces the active job when it sorts first.
     n = len(arrival)
     first, depart = np.full(n, math.nan), np.empty(n)
     f, d, svc = memoryview(first), memoryview(depart), memoryview(service)
+    klass = memoryview(cls)
     heap = []
     push, pop = heappush, heappop
     active = -1
     ch = cl = 0.0
-    for i, t in _events(arrival):
+    for i, t in enumerate(memoryview(np.append(arrival, math.inf))):
         while active >= 0 and (ch < t or (ch == t and cl <= 0.0)):
             now = ch + cl
             d[active] = now
             if not heap:
                 active = -1
                 break
-            rh, rl, active = pop(heap)
+            key, rl, active, rh = pop(heap)
             if f[active] != f[active]:
                 f[active] = now
             s = ch + rh
@@ -310,85 +277,33 @@ def _srpt(arrival, service, preemptive):
         if i == n:
             break
         b = svc[i]
+        fresh = (b if order == _SRPT else -i if order == _LIFO
+                 else i if klass[i] == 1 else n + i, 0.0, i, b)
         if active >= 0:
             if not preemptive:
-                push(heap, (b, 0.0, i))
+                push(heap, fresh)
                 continue
             s = ch - t
             bb = s - ch
             lo = cl + ((ch - (s - bb)) - (t + bb))
             rh = s + lo
-            rl = lo - (rh - s)
-            if not (b < rh or (b == rh and rl > 0.0)):
-                push(heap, (b, 0.0, i))
+            held = (rh if order == _SRPT else key, lo - (rh - s), active, rh)
+            if not fresh < held:
+                push(heap, fresh)
                 continue
-            push(heap, (rh, rl, active))
+            push(heap, held)
         f[i] = t
         s = t + b
         bb = s - t
         lo = 0.0 + ((t - (s - bb)) + (b - bb))
         ch = s + lo
         cl = lo - (ch - s)
-        active = i
-    return first, depart
-
-
-def _priority(arrival, service, cls, preemptive):
-    # one FIFO deque per class; under preemption a class-1 arrival puts an
-    # active class-2 job back at the head of its deque
-    n = len(arrival)
-    first, depart = np.full(n, math.nan), np.empty(n)
-    f, d, svc = memoryview(first), memoryview(depart), memoryview(service)
-    klass = memoryview(cls)
-    q1, q2 = deque(), deque()
-    active = -1
-    ch = cl = 0.0
-    for i, t in _events(arrival):
-        while active >= 0 and (ch < t or (ch == t and cl <= 0.0)):
-            now = ch + cl
-            d[active] = now
-            if q1:
-                active, rh, rl = q1.popleft()
-            elif q2:
-                active, rh, rl = q2.popleft()
-            else:
-                active = -1
-                break
-            if f[active] != f[active]:
-                f[active] = now
-            s = ch + rh
-            bb = s - ch
-            lo = cl + rl + ((ch - (s - bb)) + (rh - bb))
-            ch = s + lo
-            cl = lo - (ch - s)
-        if i == n:
-            break
-        b = svc[i]
-        if active >= 0:
-            if klass[i] != 1:
-                q2.append((i, b, 0.0))
-                continue
-            if not (preemptive and klass[active] == 2):
-                q1.append((i, b, 0.0))
-                continue
-            s = ch - t
-            bb = s - ch
-            lo = cl + ((ch - (s - bb)) - (t + bb))
-            rh = s + lo
-            q2.appendleft((active, rh, lo - (rh - s)))
-        f[i] = t
-        s = t + b
-        bb = s - t
-        lo = 0.0 + ((t - (s - bb)) + (b - bb))
-        ch = s + lo
-        cl = lo - (ch - s)
-        active = i
+        active, key = i, fresh[0]
     return first, depart
 
 
 # the reference loops, which run wherever the compiled ones do not build
-_PYTHON = SimpleNamespace(lindley=_lindley, fifo=_fifo, lifo_pr=_lifo_pr,
-                          srpt=_srpt, priority=_priority)
+_PYTHON = SimpleNamespace(lindley=_lindley, fifo=_fifo, serve=_serve)
 
 
 def _loops():
@@ -406,8 +321,8 @@ def empirical_psi(model: QueueModel, s: float, horizon: float,
     like exp(t (psi(2s) - 2 psi(s))), so the plain average is unusable
     (biased low at any feasible replication count) once that exponent is
     large; ``cycle_psi`` stays accurate there."""
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if replications < 1:
         raise ValueError("need at least one replication")
     terms = []
@@ -436,8 +351,8 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
     the inspection-paradox bias of stopping at N(t).  Unlike the plain
     average of exp(s X(t)) this stays accurate at long horizons (Duffy
     and Metcalfe, J. Appl. Probab. 42, 2005)."""
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if replications < 1:
         raise ValueError("need at least one replication")
     if s < 0:
@@ -490,10 +405,14 @@ def _arrived_work(model, rng, horizon) -> float:
 def service_bins(out: SimOutput, width: float):
     """Post-warmup records grouped by service-time bin of the given width;
     returns a list of (lo, hi, index-array into the post-warmup slice)."""
-    if not width > 0:
-        raise ValueError("width must be positive")
+    if not 0 < width < math.inf:
+        raise ValueError("width must be positive and finite")
     svc = out.service_time[out.kept()]
-    which = np.floor(svc / width).astype(np.int64)
+    which = np.floor(svc / width)
+    if which.size and not which.max() < 2.0 ** 53:
+        raise ValueError(f"width {width} is too small: a bin index past 2**53 "
+                         "cannot be held exactly")
+    which = which.astype(np.int64)
     bins = []
     for j in np.unique(which):
         sel = np.flatnonzero(which == j)

@@ -95,6 +95,8 @@ def fit_decay(samples, lo_quantile: float = 0.99, min_points: int = 500,
         raise ValueError(f"need at least 5000 samples, got {x.size}")
     if np.any(x < 0):
         raise ValueError("samples must be nonnegative")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
     if not 0.0 < lo_quantile < 1.0:
         raise ValueError("lo_quantile must lie in (0, 1)")
     rate, se, window, pts = _ccdf_slope(x, lo_quantile, min_points)
@@ -224,8 +226,8 @@ def is_workload_tail(model: QueueModel, x: float, replications: int,
     Each replication simulates the random walk S_k = sum(B_i - A_i) under
     the measure tilted at the workload decay rate until first passage over
     x, then weighs the path by exp(-gamma_w * S_tau)."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not 0 <= x < math.inf:
+        raise ValueError("x must be finite and nonnegative")
     if replications < 2:
         raise ValueError("need at least two replications")
     measure = tilt_measure(model)

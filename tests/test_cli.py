@@ -190,6 +190,16 @@ def test_simulate_bins_document(capsys, model_file):
     assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(rates, rates[1:]))
 
 
+@pytest.mark.parametrize("width", ["1e-300", "inf"])
+def test_simulate_bins_too_narrow_or_endless_is_one_error_line(capsys, model_file,
+                                                               width):
+    # 1e-300 put every customer in one bin whose bounds overflowed
+    assert main(["simulate", "--model", model_file(MM1), "--customers", "20000",
+                 "--bins", width]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate_writes_output_file(capsys, model_file, tmp_path):
     target = tmp_path / "run.json"
     code, out = _run(capsys, ["simulate", "--model", model_file(MM1),

@@ -51,6 +51,12 @@ PINNED_MODELS = {
     "det": QueueModel(Exponential(0.5),
                       split=Split(0.5, Deterministic(1.0), Deterministic(1.0))),
     "mm1": MM1,
+    # completions tie exactly with arrivals
+    "tie": QueueModel(Deterministic(2.0),
+                      split=Split(0.6, Deterministic(1.0), Deterministic(3.0))),
+    # load 0.95, so the queue gets deep
+    "heavy": QueueModel(Exponential(0.95),
+                        split=Split(0.4, Exponential(2.0), Erlang(2, 1.5))),
 }
 PINNED_DIGESTS = {
     ("atom", "fifo"): "a4c785984f88c8000c50e319c16261baa349a4c567ddb8bfdfbf0956fdf85430",
@@ -75,6 +81,18 @@ PINNED_DIGESTS = {
     ("mm1", "lifo-pr"): "e0b819661c5de4577ad6e4a7dad7f5f10319e136d78c5045a48ee0f98a3d4538",
     ("mm1", "srpt-pr"): "1f738b7d4d3ef64799b7c1b9e94e799790f8173fb1e5f6995bffab91afcac184",
     ("mm1", "srpt-np"): "c427008abf1711d254105b83102a3845872fd511ef65183d1ae91c66c4e9aa3a",
+    ("tie", "fifo"): "2a339a077e75d8337caa3b4440609d98a650d996267031c89ccdb91a0735efa4",
+    ("tie", "lifo-pr"): "3dd86926f04460bf44ac0deb7759115c5197d9bb7f12394a73ad6cd9fde7f8d6",
+    ("tie", "srpt-pr"): "861e83ab788c9e620d9edfcd64a82d46ae41119d5daaa6b430ab8d94061aafc2",
+    ("tie", "srpt-np"): "be8d74cf576d84be81af20be740fdf7e7ed08981e2b84898032f713eab8f3f33",
+    ("tie", "prio-pr"): "35a23bbd01f221c171119a477f95ff721aafd516ff6d2b5d1311a38a1c2b422f",
+    ("tie", "prio-np"): "be8d74cf576d84be81af20be740fdf7e7ed08981e2b84898032f713eab8f3f33",
+    ("heavy", "fifo"): "2e91019aa713578843da6ae87c0e8837bec025ed41fa3b8c5d95531fe5c5f652",
+    ("heavy", "lifo-pr"): "58a139348691fd0f839ef9a607dcd94a3fa9d2fc7b758b5de2c81670fc0a2ebb",
+    ("heavy", "srpt-pr"): "119f4a985d6a9ce8a66544f09997c1293907050265a38fcd117b5f6796428731",
+    ("heavy", "srpt-np"): "3498f689a772c35e4a37a52b14c4a7de0888a2f0c42d1670e881b1c3621d3fde",
+    ("heavy", "prio-pr"): "66e4c9b2dce314539b81226f51548818bd7f13b394f01778892b37a81a785b20",
+    ("heavy", "prio-np"): "bacf9ad231b339fb751a4630d7727eda37d745f2f5035938035892295ada1272",
 }
 SIM_FIELDS = ("arrival_time", "service_time", "customer_class",
               "first_service_start", "departure_time", "workload_at_arrival",
@@ -437,6 +455,25 @@ def test_empirical_psi_validation():
         empirical_psi(MM1, 0.1, 10.0, 0, 1)
 
 
+@pytest.mark.parametrize("estimator", ["empirical_psi", "cycle_psi"])
+def test_psi_estimators_reject_an_endless_horizon(estimator):
+    # a child process with a deadline, so that a horizon the arrivals
+    # never reach fails the test instead of hanging it
+    code = ("from queuedecay import simqueue\n"
+            "from queuedecay.dist import Exponential\n"
+            "from queuedecay.ratecalc import QueueModel\n"
+            "model = QueueModel(Exponential(0.5), Exponential(1.0))\n"
+            "try:\n"
+            f"    simqueue.{estimator}(model, 0.1, float('inf'), 4, 1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0
+    assert done.stdout == "horizon must be positive and finite\n"
+
+
 def test_cycle_psi_zero_is_exact():
     assert cycle_psi(MM1, 0.0, 50.0, 64, 4) == 0.0
 
@@ -476,6 +513,9 @@ def test_service_bins_partition():
         assert ((svc[ix] >= lo) & (svc[ix] < hi)).all()
     with pytest.raises(ValueError):
         service_bins(out, 0.0)
+    for width in (math.inf, 1e-300):
+        with pytest.raises(ValueError, match="width"):
+            service_bins(out, width)
 
 
 def test_csv_export_schema(tmp_path):

@@ -1,9 +1,13 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import queuedecay
 from queuedecay.dist import (
     ConditionedBelow,
     Deterministic,
@@ -65,6 +69,10 @@ def test_fit_input_validation():
         fit_decay(bad)
     with pytest.raises(ValueError):
         fit_decay(_exp_samples(10_000, 1.0), lo_quantile=1.0)
+    for value, count in ((math.nan, 3), (math.inf, 30)):
+        spoilt = np.append(_exp_samples(100_000, 1.0), np.full(count, value))
+        with pytest.raises(ValueError, match="finite"):
+            fit_decay(spoilt, min_points=50)
 
 
 def test_bootstrap_ci_covers_truth():
@@ -204,6 +212,25 @@ def test_tilt_unavailable_when_the_rate_is_the_service_abscissa():
     boundary = QueueModel(Deterministic(30.0), Exponential(1.0))
     with pytest.raises(TiltUnavailableError, match="search margin"):
         tilt_measure(boundary)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_is_workload_tail_rejects_a_level_the_walk_never_passes(x):
+    # a child process with a deadline, so that a walk that never ends
+    # fails the test instead of hanging it
+    code = ("from queuedecay.dist import Exponential\n"
+            "from queuedecay.ratecalc import QueueModel\n"
+            "from queuedecay.tailest import is_workload_tail\n"
+            "model = QueueModel(Exponential(0.5), Exponential(1.0))\n"
+            "try:\n"
+            f"    is_workload_tail(model, float('{x}'), 10, 1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(queuedecay.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0
+    assert done.stdout == "x must be finite and nonnegative\n"
 
 
 def test_is_workload_tail_at_zero_matches_load():
