@@ -286,6 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    code = EXIT_OK
     try:
         if args.command == "rates":
             text = cmd_rates(args)
@@ -295,8 +296,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             text = cmd_ystar_curve(args)
         else:
             text, code = cmd_validate(args)
-            sys.stdout.write(text)
-            return code
+        _emit(text, getattr(args, "out", None))
+    except BrokenPipeError:
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except UnstableError as exc:
         print(f"error: unstable model: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
@@ -306,9 +309,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        _emit(text, args.out)
-    except BrokenPipeError:
-        import os
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return EXIT_OK
+    return code

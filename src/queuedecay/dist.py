@@ -5,7 +5,9 @@ finite mixture) closed under the transforms a single-server queue analysis
 needs: truncation B*1(B<y), conditioning on {B < y} and endpoint-atom
 removal.  Every moment generating function is closed form; no quadrature
 anywhere.  Sampling is inverse transform driven by ``rng.random()`` so
-streams are reproducible bit for bit from a seed.
+streams are reproducible bit for bit from a seed.  Every draw, plain or
+reweighted by exp(theta x) for importance sampling, comes from one
+sampler per law, and every first-passage walk from one chunked loop.
 """
 
 from __future__ import annotations
@@ -483,34 +485,54 @@ def sample_array(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.nd
     uniforms per component in declaration order, so a (seed, n) pair
     fixes the output exactly.
     """
+    return _sampler(d, 0.0)(rng, n)
+
+
+def _sampler(d: DistributionSpec, theta: float):
+    """draw(rng, n) for the law of d reweighted by exp(theta * x), the
+    variant dispatched once, here.  An exponential or Erlang law becomes
+    the same law at rate - theta; tilting it to or past that rate raises
+    OutOfDomainError, unless it is an exponential conditioned below a
+    cutoff, whose density then rises.  At theta = 0 a mixture keeps its
+    raw weights."""
     if isinstance(d, Deterministic):
-        return np.full(n, d.value, dtype=np.float64)
-    if isinstance(d, Exponential):
-        return -np.log1p(-rng.random(n)) / d.rate
+        return lambda rng, n: np.full(n, d.value, dtype=np.float64)
     if isinstance(d, UniformInterval):
-        return d.lo + (d.hi - d.lo) * rng.random(n)
-    if isinstance(d, Erlang):
-        # rows of `shape` uniforms, drawn in blocks of at most _BLOCK of
-        # them (one row if the shape is larger); the generator fills in
-        # order, so the draws equal one (n, shape) block
-        rows = max(1, _BLOCK // d.shape)
+        return functools.partial(_window_draw, d.lo, d.hi - d.lo, theta)
+    if isinstance(d, FiniteMixture):
+        weights = [w * mgf(c, theta) if theta else w for w, c in d.components]
+        total = math.fsum(weights) if theta else 1.0
+        return functools.partial(_mixture_draw, [w / total for w in weights],
+                                 [_sampler(c, theta) for _, c in d.components])
+    base = d.base if isinstance(d, ConditionedBelow) else d
+    k, rate = _erlang_params(base)
+    cutoff = ess_sup(d)
+    if k == 1 and cutoff < math.inf:
+        return functools.partial(_window_draw, 0.0, cutoff, theta - rate)
+    if not theta < rate:
+        raise OutOfDomainError(f"tilt {theta} reaches the rate of {base}")
+    rate -= theta
+    if cutoff < math.inf:
+        top = gammainc(k, rate * cutoff)
+        return lambda rng, n: gammaincinv(k, rng.random(n) * top) / rate
+    if k == 1:
+        return lambda rng, n: -np.log1p(-rng.random(n)) / rate
+
+    def erlang(rng, n):
+        # rows of k uniforms, drawn in blocks of at most _BLOCK of them (one
+        # row if k is larger); the generator fills in order, so the draws
+        # equal one (n, k) block
+        rows = max(1, _BLOCK // k)
         out = np.empty(n, dtype=np.float64)
         for lo in range(0, n, rows):
-            u = rng.random((min(rows, n - lo), d.shape))
-            out[lo:lo + len(u)] = -np.log1p(-u).sum(axis=1) / d.rate
+            u = rng.random((min(rows, n - lo), k))
+            out[lo:lo + len(u)] = -np.log1p(-u).sum(axis=1) / rate
         return out
-    if isinstance(d, ConditionedBelow):
-        k, rate = _erlang_params(d.base)
-        if k == 1:
-            return window_draw(0.0, d.cutoff, -rate, rng, n)
-        return gammaincinv(k, rng.random(n) * gammainc(k, rate * d.cutoff)) / rate
-    return mixture_draw([w for w, _ in d.components],
-                        [functools.partial(sample_array, c) for _, c in d.components],
-                        rng, n)
+    return erlang
 
 
-def window_draw(lo: float, width: float, slope: float,
-                rng: np.random.Generator, n: int) -> np.ndarray:
+def _window_draw(lo: float, width: float, slope: float,
+                 rng: np.random.Generator, n: int) -> np.ndarray:
     """n inverse-transform draws from the density proportional to
     exp(slope * x) on [lo, lo + width), one uniform each."""
     u = rng.random(n)
@@ -520,7 +542,7 @@ def window_draw(lo: float, width: float, slope: float,
     return lo + np.log1p(u * np.expm1(t)) / slope
 
 
-def mixture_draw(weights, draws, rng: np.random.Generator, n: int) -> np.ndarray:
+def _mixture_draw(weights, draws, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of a mixture: the selector uniforms first, then one block
     ``draws[j](rng, count)`` per component j in order."""
     u = rng.random(n)
@@ -533,6 +555,25 @@ def mixture_draw(weights, draws, rng: np.random.Generator, n: int) -> np.ndarray
         if cnt:
             out[mask] = draw(rng, cnt)
     return out
+
+
+def _first_passage(draw, rng: np.random.Generator, level: float,
+                   chunk: int) -> Tuple[np.ndarray, float]:
+    """The steps of a walk from 0, drawn ``draw(rng, chunk)`` at a time, up
+    to and including the first whose partial sum exceeds ``level``, and
+    that sum.  Whole chunks are drawn, so the draws depend on rng alone."""
+    parts = []
+    total = 0.0
+    while True:
+        steps = draw(rng, chunk)
+        path = total + np.cumsum(steps)
+        over = np.flatnonzero(path > level)
+        if over.size:
+            k = int(over[0])
+            parts.append(steps[:k + 1])
+            return np.concatenate(parts), float(path[k])
+        parts.append(steps)
+        total = float(path[-1])
 
 
 def to_json(d: DistributionSpec) -> dict:

@@ -467,10 +467,14 @@ def _law_from_json(obj, name: str) -> DistributionSpec:
 
 def model_from_json(obj: dict) -> QueueModel:
     """Parse {"arrival": DIST, "service": DIST} or
-    {"arrival": DIST, "split": {"p", "class1", "class2"}}."""
+    {"arrival": DIST, "split": {"p", "class1", "class2"}}; a file giving
+    both is QueueModel's to judge, like any other pair of laws."""
     if not isinstance(obj, dict) or "arrival" not in obj:
         raise ValueError("model JSON needs an 'arrival' law")
     arrival = _law_from_json(obj["arrival"], "arrival")
+    service = split = None
+    if obj.get("service") is not None:
+        service = _law_from_json(obj["service"], "service")
     if obj.get("split") is not None:
         sp = obj["split"]
         try:
@@ -478,7 +482,4 @@ def model_from_json(obj: dict) -> QueueModel:
                           _law_from_json(sp["class2"], "class2"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed split: {exc!r}") from exc
-        return QueueModel(arrival, split=split)
-    if "service" not in obj:
-        raise ValueError("model JSON needs a 'service' law or a 'split'")
-    return QueueModel(arrival, _law_from_json(obj["service"], "service"))
+    return QueueModel(arrival, service, split)

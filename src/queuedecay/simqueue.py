@@ -37,7 +37,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import _value, find_root, sample_array, stream
+from .dist import _first_passage, _value, find_root, sample_array, stream
 from .ratecalc import NumericalFailure, QueueModel
 
 
@@ -328,7 +328,8 @@ def empirical_psi(model: QueueModel, s: float, horizon: float,
     terms = []
     for rep in range(replications):
         rng = stream(seed, rep)
-        work = _arrived_work(model, rng, horizon)
+        count = len(_arrival_gaps(model, rng, horizon)) - 1
+        work = float(sample_array(model.service, rng, count).sum())
         try:
             terms.append(math.exp(s * work))
         except OverflowError as exc:
@@ -383,23 +384,8 @@ def _arrival_gaps(model, rng, horizon) -> np.ndarray:
     # inter-arrival gaps through the first arrival after the horizon, drawn
     # in fixed chunks so the draw sequence is a function of the replication
     # stream alone
-    chunks = []
-    offset = 0.0
-    while True:
-        chunk = sample_array(model.arrival, rng, 1024)
-        times = np.cumsum(chunk) + offset
-        k = int(np.searchsorted(times, horizon, side="right"))
-        chunks.append(chunk[:k + 1])
-        if k < 1024:
-            return np.concatenate(chunks)
-        offset = float(times[-1])
-
-
-def _arrived_work(model, rng, horizon) -> float:
-    count = len(_arrival_gaps(model, rng, horizon)) - 1
-    if count == 0:
-        return 0.0
-    return float(sample_array(model.service, rng, count).sum())
+    return _first_passage(functools.partial(sample_array, model.arrival), rng,
+                          horizon, 1024)[0]
 
 
 def service_bins(out: SimOutput, width: float):

@@ -5,7 +5,9 @@ ccdf between the 0.99 sample quantile and the tenth-largest sample.
 ``is_workload_tail`` estimates P(W > x) by importance sampling: the
 increment walk is tilted at gamma_w, where psi(gamma_w) = gamma_w and
 psi' > 1, so it drifts upward and first passage is certain.  The tilted
-laws are drawn with dist's samplers.
+laws come from ``dist._sampler`` and the walk from ``dist._first_passage``;
+levels with gamma_w * x above about 354 are refused, because the squared
+weights the relative error needs underflow there.
 
 The bootstrap interval resamples at the customer level and ignores the
 dependence between successive waits, so it is optimistic, and the
@@ -17,16 +19,14 @@ half-width max(4 * stderr, 0.02 * rate).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from functools import partial
+import sys
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dist import (ConditionedBelow, Deterministic, Exponential, FiniteMixture,
-                   UniformInterval, mgf, mixture_draw, sample_array, stream,
-                   window_draw)
+from .dist import OutOfDomainError, _first_passage, _sampler, stream
 from .ratecalc import QueueModel, _psi_slope, gamma_w_detail
 
 
@@ -162,34 +162,6 @@ def fits_agree(first: TailFit, second: TailFit,
             and second.rate - h2 <= first.rate + h1)
 
 
-def _tilt_law(law, theta: float):
-    """draw(rng, n) for the law reweighted by exp(theta * x), built from
-    the closed forms of dist for every supported variant."""
-    if theta == 0.0 or isinstance(law, Deterministic):
-        return partial(sample_array, law)
-    if isinstance(law, UniformInterval):
-        return partial(window_draw, law.lo, law.hi - law.lo, theta)
-    if isinstance(law, FiniteMixture):
-        weights = [w * mgf(comp, theta) for w, comp in law.components]
-        total = math.fsum(weights)
-        return partial(mixture_draw, [w / total for w in weights],
-                       [_tilt_law(comp, theta) for _, comp in law.components])
-    if isinstance(law, ConditionedBelow):
-        base = law.base
-        if isinstance(base, Exponential):
-            return partial(window_draw, 0.0, law.cutoff, theta - base.rate)
-        if theta < base.rate:
-            return partial(sample_array,
-                           replace(law, base=replace(base, rate=base.rate - theta)))
-        raise TiltUnavailableError(
-            "tilting a below-cutoff Erlang past its rate has no closed form")
-    # Exponential or Erlang: the same law at rate - theta
-    if theta >= law.rate:
-        raise TiltUnavailableError(
-            f"tilt {theta} reaches the {type(law).__name__} rate {law.rate}")
-    return partial(sample_array, replace(law, rate=law.rate - theta))
-
-
 @dataclass(frozen=True)
 class TiltedMeasure:
     nu: float
@@ -203,7 +175,7 @@ def tilt_measure(model: QueueModel) -> TiltedMeasure:
     services reweighted by exp(nu * b), inter-arrivals by exp(-psi(nu) * a).
     There psi(nu) = nu, and the tilted walk drifts upward exactly when
     psi'(nu) > 1.  ``arrival.draw`` and ``service.draw`` sample the
-    tilted laws with dist's samplers, bound at call time."""
+    tilted laws; a tilt with no law in dist is TiltUnavailableError."""
     nu, boundary = gamma_w_detail(model)
     if boundary:
         raise TiltUnavailableError(
@@ -213,9 +185,12 @@ def tilt_measure(model: QueueModel) -> TiltedMeasure:
     if not slope > 1.0:
         raise TiltUnavailableError(
             f"psi'(nu) = {slope} <= 1 at nu={nu}: the tilted walk does not rise")
-    return TiltedMeasure(nu=nu, psi_nu=nu,
-                         arrival=SimpleNamespace(draw=_tilt_law(model.arrival, -nu)),
-                         service=SimpleNamespace(draw=_tilt_law(model.service, nu)))
+    try:
+        arrival, service = _sampler(model.arrival, -nu), _sampler(model.service, nu)
+    except OutOfDomainError as exc:
+        raise TiltUnavailableError(str(exc)) from exc
+    return TiltedMeasure(nu=nu, psi_nu=nu, arrival=SimpleNamespace(draw=arrival),
+                         service=SimpleNamespace(draw=service))
 
 
 def is_workload_tail(model: QueueModel, x: float, replications: int,
@@ -225,28 +200,24 @@ def is_workload_tail(model: QueueModel, x: float, replications: int,
 
     Each replication simulates the random walk S_k = sum(B_i - A_i) under
     the measure tilted at the workload decay rate until first passage over
-    x, then weighs the path by exp(-gamma_w * S_tau)."""
+    x, then weighs the path by exp(-gamma_w * S_tau).  A level where
+    exp(-2 gamma_w x) is below the smallest normal float is a ValueError."""
     if not 0 <= x < math.inf:
         raise ValueError("x must be finite and nonnegative")
     if replications < 2:
         raise ValueError("need at least two replications")
     measure = tilt_measure(model)
     nu = measure.nu
-    chunk = 64
+    if math.exp(-2.0 * nu * x) < sys.float_info.min:
+        raise ValueError(f"gamma_w * x = {nu * x:.6g} is too large: the "
+                         "squared weights exp(-2 gamma_w S) underflow")
+
+    def step(rng, n):
+        return measure.service.draw(rng, n) - measure.arrival.draw(rng, n)
+
     estimates = np.empty(replications, dtype=np.float64)
     for rep in range(replications):
-        rng = stream(seed, rep)
-        s = 0.0
-        while True:
-            b = measure.service.draw(rng, chunk)
-            a = measure.arrival.draw(rng, chunk)
-            path = s + np.cumsum(b - a)
-            over = np.flatnonzero(path > x)
-            if over.size:
-                s = float(path[over[0]])
-                break
-            s = float(path[-1])
-        estimates[rep] = math.exp(-nu * s)
+        estimates[rep] = math.exp(-nu * _first_passage(step, stream(seed, rep), x, 64)[1])
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1)) / math.sqrt(replications)
     return mean, se / mean

@@ -195,13 +195,23 @@ def _crit_sample_path_identities(quick: bool) -> Tuple[bool, str]:
     ok_prio = np.array_equal(pr.first_service_start[two],
                              np_run.first_service_start[two])
 
-    outs = [run(split, d, n, 12345) for d in Discipline]
-    ok_load = all(np.array_equal(outs[0].workload_at_arrival,
-                                 o.workload_at_arrival) for o in outs[1:])
-    ok = ok_det and ok_prio and ok_load
+    outs = {d: run(split, d, n, 12345) for d in Discipline}
+    fifo = outs[Discipline.FIFO]
+    ok_load = all(np.array_equal(fifo.workload_at_arrival,
+                                 o.workload_at_arrival) for o in outs.values())
+    # each busy period ends at FIFO's last departure in it under every
+    # discipline, and LIFO-PR's customer who opens it leaves exactly then
+    opens = np.flatnonzero(fifo.workload_at_arrival == 0.0)
+    end = np.maximum.reduceat(fifo.departure_time, opens)
+    ok_busy = (all(np.array_equal(np.maximum.reduceat(o.departure_time, opens), end)
+                   for o in outs.values())
+               and np.array_equal(outs[Discipline.LIFO_PR].departure_time[opens], end))
+    ok = ok_det and ok_prio and ok_load and ok_busy
     return ok, (f"deterministic SRPT==FIFO departures: {ok_det}; "
                 f"PRIO PR==NP class-2 first service: {ok_prio}; "
-                f"workload identical across 6 disciplines: {ok_load}")
+                f"workload identical across 6 disciplines: {ok_load}; "
+                f"busy periods end at FIFO's last departure, LIFO-PR opener "
+                f"leaves then: {ok_busy}")
 
 
 def _crit_ystar_curve(quick: bool) -> Tuple[bool, str]:

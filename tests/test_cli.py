@@ -212,6 +212,27 @@ def test_simulate_writes_output_file(capsys, model_file, tmp_path):
     assert doc["customers"] == 1000
 
 
+@pytest.mark.parametrize("where", ["a-directory", "missing/run.json"])
+def test_unwritable_out_path_is_one_error_line(capsys, model_file, tmp_path, where):
+    (tmp_path / "a-directory").mkdir()
+    code = main(["rates", "--model", model_file(MM1),
+                 "--out", str(tmp_path / where)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_service_that_agrees_with_the_split_reads_as_the_split(capsys, model_file):
+    mixture = {"type": "mixture",
+               "components": [{"weight": 0.5, "dist": SPLIT["split"]["class1"]},
+                              {"weight": 0.5, "dist": SPLIT["split"]["class2"]}]}
+    code, alone = _run(capsys, ["rates", "--model", model_file(SPLIT)])
+    assert code == 0
+    code, both = _run(capsys, ["rates", "--model",
+                               model_file(dict(SPLIT, service=mixture), "both.json")])
+    assert code == 0 and both == alone
+
+
 def test_ystar_curve_csv(capsys):
     code, out = _run(capsys, ["ystar-curve", "--rho-grid", "0.3:0.7:0.2",
                               "--output", "csv"])
@@ -375,6 +396,8 @@ BAD_MODEL_FILES = {
                            "service": EXP1}, 1),
     "vanishing-slope": ({"arrival": {"type": "exponential", "rate": 1e-150},
                          "service": {"type": "deterministic", "value": 5e149}}, 3),
+    "service-disagrees-with-split": (
+        dict(SPLIT, service={"type": "exponential", "rate": 5.0}), 1),
 }
 
 

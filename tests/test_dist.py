@@ -14,6 +14,7 @@ from queuedecay.dist import (
     OutOfDomainError,
     OutOfRangeError,
     UniformInterval,
+    _sampler,
     atom_at,
     cdf,
     ess_inf,
@@ -261,6 +262,32 @@ def test_erlang_sampling_in_blocks_equals_one_draw():
     expect = -np.log1p(-stream(13, 1).random((2, big.shape))).sum(axis=1)
     assert np.array_equal(got, expect)
     assert len(sample_array(d, stream(13, 2), 0)) == 0
+
+
+def test_erlang_of_shape_one_draws_as_the_exponential():
+    # Erlang(1, r) takes the exponential's sampler; a one-column block sums
+    # to its one element, so the draws are the block form's bit for bit
+    n = 50_000
+    got = sample_array(Erlang(1, 2.5), stream(19, 0), n)
+    block = -np.log1p(-stream(19, 0).random((n, 1))).sum(axis=1) / 2.5
+    assert np.array_equal(got.view(np.int64), block.view(np.int64))
+    plain = sample_array(Exponential(2.5), stream(19, 0), n)
+    assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+
+
+def test_tilted_sampler_is_the_law_at_the_shifted_rate():
+    for d, shifted in ((Exponential(2.0), Exponential(1.25)),
+                       (Erlang(3, 2.0), Erlang(3, 1.25)),
+                       (ConditionedBelow(Erlang(3, 2.0), 1.5),
+                        ConditionedBelow(Erlang(3, 1.25), 1.5))):
+        got = _sampler(d, 0.75)(stream(23, 0), 10_000)
+        want = sample_array(shifted, stream(23, 0), 10_000)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        with pytest.raises(OutOfDomainError):
+            _sampler(d, 2.0)
+    # below a cutoff an exponential tilts past its rate: the density rises
+    assert _sampler(ConditionedBelow(Exponential(1.0), 3.0), 2.0)(
+        stream(23, 1), 1000).max() < 3.0
 
 def test_stream_reproducible_and_indexed():
     a = stream(42, 0).random(5)

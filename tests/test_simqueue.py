@@ -315,6 +315,23 @@ def test_busy_period_work_conservation():
     assert len(starts_idx) == len(out.busy_durations)
 
 
+@pytest.mark.parametrize("name", PINNED_MODELS)
+def test_busy_periods_end_at_fifos_last_departure_bitwise(name):
+    # a busy period opens at each arrival that finds no work; every
+    # discipline empties the system at FIFO's last departure of the period,
+    # bit for bit, and the LIFO-PR customer who opens it leaves exactly then
+    model = PINNED_MODELS[name]
+    disciplines = [d for d in Discipline if model.split is not None
+                   or d not in (Discipline.PRIO_PR, Discipline.PRIO_NP)]
+    for seed in (1, 7):
+        outs = {d: run(model, d, 20_000, seed) for d in disciplines}
+        opens = np.flatnonzero(outs[Discipline.FIFO].workload_at_arrival == 0.0)
+        end = np.maximum.reduceat(outs[Discipline.FIFO].departure_time, opens)
+        for d, out in outs.items():
+            assert np.maximum.reduceat(out.departure_time, opens).tobytes() == end.tobytes(), d
+        assert outs[Discipline.LIFO_PR].departure_time[opens].tobytes() == end.tobytes()
+
+
 def test_mm1_mean_busy_period():
     out = run(MM1, Discipline.FIFO, 400_000, 2)
     durations = out.busy_durations

@@ -233,6 +233,31 @@ def test_is_workload_tail_rejects_a_level_the_walk_never_passes(x):
     assert done.stdout == "x must be finite and nonnegative\n"
 
 
+def test_is_workload_tail_rejects_a_level_whose_weights_underflow():
+    # gamma_w = 0.5: at x = 800 every squared weight underflows and the
+    # relative error read exactly 0, at 1e4 the weights themselves did and
+    # the mean divided by zero, and at 1e9 the walk ran for minutes; a
+    # child process with a deadline keeps a walk that never ends from
+    # hanging the test
+    code = ("from queuedecay.dist import Exponential\n"
+            "from queuedecay.ratecalc import QueueModel\n"
+            "from queuedecay.tailest import is_workload_tail\n"
+            "model = QueueModel(Exponential(0.5), Exponential(1.0))\n"
+            "for x in (800.0, 1e4, 1e9):\n"
+            "    try:\n"
+            "        print(is_workload_tail(model, x, 200, 1))\n"
+            "    except ValueError as exc:\n"
+            "        print(type(exc).__name__, exc)\n")
+    src = os.path.dirname(os.path.dirname(queuedecay.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("ValueError gamma_w * x = ") for line in lines)
+    assert all("underflow" in line for line in lines)
+
+
 def test_is_workload_tail_at_zero_matches_load():
     mean, rel_se = is_workload_tail(MM1, 0.0, 20_000, 11)
     se = mean * rel_se
