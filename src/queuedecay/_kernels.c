@@ -1,6 +1,5 @@
-/* The Lindley recursion and the two event loops of simqueue, in C99:
- * FIFO's chain, and serve, one loop for the other five disciplines with
- * an order on the waiting jobs and a preemption rule each.
+/* The Lindley recursion and simqueue's event loop, in C99: serve runs all
+ * six disciplines, each an order on the waiting jobs and a preemption rule.
  *
  * Each function repeats the Python function of the same name in
  * simqueue.py operation for operation: the same double-double updates in
@@ -78,26 +77,8 @@ void lindley_workload(const double *a, const double *b, int64_t n, double *w)
     }
 }
 
-void fifo(const double *arrival, const double *service, int64_t n,
-          double *first, double *depart)
-{
-    double ch = -INFINITY, cl = 0.0, now = 0.0;
-    for (int64_t k = 0; k < n; k++) {
-        double t = arrival[k];
-        if (done_by(ch, cl, t)) {
-            first[k] = t;
-            start(t, service[k], &ch, &cl);
-        } else {
-            first[k] = now;
-            chain(service[k], 0.0, &ch, &cl);
-        }
-        now = ch + cl;
-        depart[k] = now;
-    }
-}
-
 /* The orders of the waiting jobs in serve; simqueue uses the same codes. */
-enum { LIFO, SRPT, PRIO };
+enum { FIFO, LIFO, SRPT, PRIO };
 
 /* (key, rl, i) compared like a Python tuple */
 static int before(const job *x, const job *y)
@@ -138,11 +119,11 @@ static job heap_pop(job *heap, int64_t *size)
     return top;
 }
 
-/* The other five disciplines: the waiting jobs in one heap on their key,
- * which is -i under LIFO, the work left under SRPT and the class, then the
- * index, under PRIO.  A preemptive arrival displaces the active job when
- * its key sorts first.  The loop runs over the arrivals and then one at
- * +inf, which drains the system. */
+/* The six disciplines: the waiting jobs in one heap on their key, which is
+ * the index i under FIFO, -i under LIFO, the work left under SRPT and the
+ * class, then the index, under PRIO.  A preemptive arrival displaces the
+ * active job when its key sorts first.  The loop runs over the arrivals and
+ * then one at +inf, which drains the system. */
 void serve(const double *arrival, const double *service, const int8_t *cls,
            int64_t n, int order, int preemptive, double *first,
            double *depart, job *heap)
@@ -168,7 +149,7 @@ void serve(const double *arrival, const double *service, const int8_t *cls,
             break;
         double b = service[i];
         double key = order == SRPT ? b : order == LIFO ? -(double)i
-                     : (double)(cls[i] == 1 ? i : n + i);
+                     : (double)(order == PRIO && cls[i] != 1 ? n + i : i);
         job fresh = {key, b, 0.0, i};
         if (active.i >= 0) {
             job held = active;

@@ -1,4 +1,5 @@
-"""Build and load the compiled event loops of ``_kernels.c``.
+"""Build and load the compiled loops of ``_kernels.c``: the Lindley
+recursion and ``serve``, the one event loop of all six disciplines.
 
 ``simqueue`` imports this module on its first simulation, not at import.
 ``load`` compiles the C file with the C compiler Python was built with
@@ -92,7 +93,6 @@ class Kernels:
                         for t in (np.float64, np.int8, JOB))
         n, flag = ctypes.c_int64, ctypes.c_int
         for name, args in (("lindley_workload", (f64, f64, n, f64)),
-                           ("fifo", (f64, f64, n, f64, f64)),
                            ("serve", (f64, f64, i8, n, flag, flag, f64, f64, job))):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = args, None
@@ -102,12 +102,6 @@ class Kernels:
         w = np.empty(len(a))
         self._lib.lindley_workload(a, b, len(a), w)
         return w
-
-    def fifo(self, arrival, service):
-        n = len(arrival)
-        first, depart = np.empty(n), np.empty(n)
-        self._lib.fifo(arrival, service, n, first, depart)
-        return first, depart
 
     def serve(self, arrival, service, cls, order, preemptive):
         # at most n - 1 jobs wait at once

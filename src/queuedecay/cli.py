@@ -140,8 +140,7 @@ def cmd_rates(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fit_block(samples, analytic: Optional[float], tolerance: float = 0.1,
-               **window):
+def _fit_block(samples, analytic: Optional[float], **window):
     block = {"fit": None, "analytic": analytic, "comparison": None,
              "skipped": None}
     try:
@@ -151,7 +150,7 @@ def _fit_block(samples, analytic: Optional[float], tolerance: float = 0.1,
         return block
     block["fit"] = fit.to_json()
     if analytic is not None:
-        block["comparison"] = compare_rates(analytic, fit, tolerance).to_json()
+        block["comparison"] = compare_rates(analytic, fit).to_json()
     return block
 
 

@@ -14,11 +14,11 @@ spacing of float64).  Workload at arrival and busy periods come from
 the canonical recursion on the shared streams, which makes them
 discipline-independent by construction.  A run splits into a stream
 stage, memoised on (model, n, seed) so that coupled runs share it, and
-an event loop: FIFO's chain, which keeps no queue, or one loop for the
-other five disciplines, each of which is an order on the waiting jobs
-plus a preemption rule.
+one event loop for all six disciplines, each of which is an order on the
+waiting jobs plus a preemption rule; FIFO is the arrival-index order,
+never preempting.
 
-The recursion and the event loops run compiled from ``_kernels.c`` when
+The recursion and the event loop run compiled from ``_kernels.c`` when
 a C compiler works here (built on first use into a per-user cache), and
 as the Python loops below otherwise; both give bitwise the same arrays.
 """
@@ -50,11 +50,12 @@ class Discipline(Enum):
     PRIO_NP = "prio-np"
 
 
-# the disciplines other than FIFO as (order of the waiting jobs, whether an
-# arrival that sorts first displaces the active job); the order codes are
-# those of _kernels.c
-_LIFO, _SRPT, _PRIO = range(3)
+# each discipline as (order of the waiting jobs, whether an arrival that
+# sorts first displaces the active job); the order codes are those of
+# _kernels.c
+_FIFO, _LIFO, _SRPT, _PRIO = range(4)
 _SERVE = {
+    Discipline.FIFO: (_FIFO, False),
     Discipline.LIFO_PR: (_LIFO, True),
     Discipline.SRPT_PR: (_SRPT, True),
     Discipline.SRPT_NP: (_SRPT, False),
@@ -186,16 +187,13 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
         raise ValueError("warmup_fraction must lie in [0, 1)")
     if not isinstance(discipline, Discipline):
         discipline = Discipline(discipline)
-    if discipline in (Discipline.PRIO_PR, Discipline.PRIO_NP) and model.split is None:
+    order, preemptive = _SERVE[discipline]
+    if order == _PRIO and model.split is None:
         raise ValueError("priority disciplines need a two-class split")
 
     arrival, service, cls, workload, busy_starts, busy_durations = _streams(
         model, n, seed)
-    loops = _loops()
-    if discipline is Discipline.FIFO:
-        first, depart = loops.fifo(arrival, service)
-    else:
-        first, depart = loops.serve(arrival, service, cls, *_SERVE[discipline])
+    first, depart = _loops().serve(arrival, service, cls, order, preemptive)
     return SimOutput(
         discipline=discipline, warmup=int(warmup_fraction * n),
         arrival_time=arrival, service_time=service, customer_class=cls,
@@ -204,8 +202,8 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
         busy_starts=busy_starts, busy_durations=busy_durations)
 
 
-# The event loops keep a completion time as a double-double (ch, cl) and
-# spell out its three updates inline, each in one fixed order of
+# The event loop keeps a completion time as a double-double (ch, cl) and
+# spells out its three updates inline, each in one fixed order of
 # operations (the identities across disciplines rest on it):
 #   start at an exact arrival t with work b:
 #       s = t + b; bb = s - t; lo = 0.0 + ((t - (s - bb)) + (b - bb))
@@ -215,42 +213,17 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
 #       s = ch - t; bb = s - ch; lo = cl + ((ch - (s - bb)) - (t + bb))
 #       rh = s + lo; rl = lo - (rh - s).
 # A completion at (ch, cl) comes before an arrival at t exactly when
-# ch < t or (ch == t and cl <= 0.0).  FIFO chains each customer on its
-# predecessor; ``_serve`` runs the other disciplines over the arrivals plus
-# an infinite one that drains the system.  Both index the arrays through
-# memoryviews, as fast as lists and with no list to build or convert back.
-
-
-def _fifo(arrival, service):
-    # customer k starts at its arrival, or at the departure of k - 1 if
-    # that comes later, so no queue is kept
-    n = len(arrival)
-    first, depart = np.empty(n), np.empty(n)
-    f, d = memoryview(first), memoryview(depart)
-    ch, cl = -math.inf, 0.0
-    for k, (t, b) in enumerate(zip(memoryview(arrival), memoryview(service))):
-        if ch < t or (ch == t and cl <= 0.0):
-            f[k] = t
-            s = t + b
-            bb = s - t
-            lo = 0.0 + ((t - (s - bb)) + (b - bb))
-        else:
-            f[k] = now
-            s = ch + b
-            bb = s - ch
-            lo = cl + 0.0 + ((ch - (s - bb)) + (b - bb))
-        ch = s + lo
-        cl = lo - (ch - s)
-        now = ch + cl
-        d[k] = now
-    return first, depart
+# ch < t or (ch == t and cl <= 0.0).  ``_serve`` runs over the arrivals
+# plus an infinite one that drains the system, and indexes the arrays
+# through memoryviews, as fast as lists and with no list to build or
+# convert back.
 
 
 def _serve(arrival, service, cls, order, preemptive):
-    # one heap of waiting jobs (key, rl, customer, rh): the key is -i under
-    # LIFO, the work left under SRPT and the class, then the index, under
-    # PRIO; the customer breaks ties, so rh is never compared.  A preemptive
-    # arrival displaces the active job when it sorts first.
+    # one heap of waiting jobs (key, rl, customer, rh): the key is i under
+    # FIFO, -i under LIFO, the work left under SRPT and the class, then the
+    # index, under PRIO; the customer breaks ties, so rh is never compared.
+    # A preemptive arrival displaces the active job when it sorts first.
     n = len(arrival)
     first, depart = np.full(n, math.nan), np.empty(n)
     f, d, svc = memoryview(first), memoryview(depart), memoryview(service)
@@ -277,8 +250,8 @@ def _serve(arrival, service, cls, order, preemptive):
         if i == n:
             break
         b = svc[i]
-        fresh = (b if order == _SRPT else -i if order == _LIFO
-                 else i if klass[i] == 1 else n + i, 0.0, i, b)
+        fresh = (b if order == _SRPT else -i if order == _LIFO else
+                 n + i if order == _PRIO and klass[i] != 1 else i, 0.0, i, b)
         if active >= 0:
             if not preemptive:
                 push(heap, fresh)
@@ -303,7 +276,7 @@ def _serve(arrival, service, cls, order, preemptive):
 
 
 # the reference loops, which run wherever the compiled ones do not build
-_PYTHON = SimpleNamespace(lindley=_lindley, fifo=_fifo, serve=_serve)
+_PYTHON = SimpleNamespace(lindley=_lindley, serve=_serve)
 
 
 def _loops():
@@ -321,15 +294,9 @@ def empirical_psi(model: QueueModel, s: float, horizon: float,
     like exp(t (psi(2s) - 2 psi(s))), so the plain average is unusable
     (biased low at any feasible replication count) once that exponent is
     large; ``cycle_psi`` stays accurate there."""
-    if not 0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    if replications < 1:
-        raise ValueError("need at least one replication")
     terms = []
-    for rep in range(replications):
-        rng = stream(seed, rep)
-        count = len(_arrival_gaps(model, rng, horizon)) - 1
-        work = float(sample_array(model.service, rng, count).sum())
+    for rng, g in _paths(model, horizon, replications, seed):
+        work = float(sample_array(model.service, rng, len(g) - 1).sum())
         try:
             terms.append(math.exp(s * work))
         except OverflowError as exc:
@@ -352,18 +319,13 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
     the inspection-paradox bias of stopping at N(t).  Unlike the plain
     average of exp(s X(t)) this stays accurate at long horizons (Duffy
     and Metcalfe, J. Appl. Probab. 42, 2005)."""
-    if not 0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    paths = _paths(model, horizon, replications, seed)
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s == 0.0:
         return 0.0
     gaps, services = [], []
-    for rep in range(replications):
-        rng = stream(seed, rep)
-        g = _arrival_gaps(model, rng, horizon)
+    for rng, g in paths:
         gaps.append(g)
         services.append(sample_array(model.service, rng, len(g)))
     # the arrays go through args, not a closure (see find_root)
@@ -380,12 +342,18 @@ def _cycle_excess(theta: float, sb: np.ndarray, a: np.ndarray) -> float:
     return math.log(len(a)) - float(logsumexp(sb - theta * a))
 
 
-def _arrival_gaps(model, rng, horizon) -> np.ndarray:
-    # inter-arrival gaps through the first arrival after the horizon, drawn
-    # in fixed chunks so the draw sequence is a function of the replication
-    # stream alone
-    return _first_passage(functools.partial(sample_array, model.arrival), rng,
-                          horizon, 1024)[0]
+def _paths(model, horizon, replications, seed):
+    # each replication's stream with its inter-arrival gaps through the
+    # first arrival after the horizon, drawn lazily and in fixed chunks so
+    # the draw sequence is a function of the replication stream alone; the
+    # caller draws its services on from the same stream
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    draw = functools.partial(sample_array, model.arrival)
+    rngs = (stream(seed, rep) for rep in range(replications))
+    return ((rng, _first_passage(draw, rng, horizon, 1024)[0]) for rng in rngs)
 
 
 def service_bins(out: SimOutput, width: float):

@@ -159,6 +159,35 @@ def test_simulate_fifo_fit_targets_workload_rate(capsys, model_file):
     assert block["comparison"]["analytic"] == doc["analytic"]["gamma_w"]
 
 
+def test_simulate_documents_for_all_six_disciplines(capsys, model_file):
+    # the shared streams and the busy-period identity fix the summaries
+    # below; each document carries its own discipline's analytic target
+    path = model_file(SPLIT)
+    docs = {}
+    for name in ("fifo", "lifo-pr", "srpt-pr", "srpt-np", "prio-pr", "prio-np"):
+        code, out = _run(capsys, ["simulate", "--model", path, "--discipline",
+                                  name, "--customers", "4000", "--seed", "6"])
+        assert code == 0
+        docs[name] = json.loads(out)
+    shared = ("served", "busy_periods", "mean_busy", "total_time")
+    summaries = {name: [doc["summary"][k] for k in shared]
+                 for name, doc in docs.items()}
+    assert all(s == summaries["fifo"] for s in summaries.values()), summaries
+    report = docs["fifo"]["analytic"]
+    assert None not in (report["gamma_w"], report["gamma_v"], report["gamma_w2"])
+    none = {"waiting": None, "sojourn": None}
+    prio = dict(none, class2_waiting=report["gamma_w2"],
+                class2_sojourn=report["gamma_w2"])
+    expect = {"fifo": dict(none, waiting=report["gamma_w"]),
+              "lifo-pr": none,
+              "srpt-pr": dict(none, sojourn=report["gamma_v"]),
+              "srpt-np": dict(none, sojourn=report["gamma_v"]),
+              "prio-pr": prio, "prio-np": prio}
+    for name, doc in docs.items():
+        targets = {fit: block["analytic"] for fit, block in doc["fits"].items()}
+        assert targets == expect[name], name
+
+
 def test_simulate_csv_records(capsys, model_file):
     code, out = _run(capsys, ["simulate", "--model", model_file(MM1),
                               "--discipline", "fifo",

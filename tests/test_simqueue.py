@@ -381,8 +381,9 @@ def test_run_argument_validation():
         run(MM1, Discipline.FIFO, 0, 1)
     with pytest.raises(ValueError):
         run(MM1, Discipline.FIFO, 100, 1, warmup_fraction=1.0)
-    with pytest.raises(ValueError):
-        run(MM1, Discipline.PRIO_PR, 100, 1)  # needs a split
+    for prio in (Discipline.PRIO_PR, Discipline.PRIO_NP, "prio-np"):
+        with pytest.raises(ValueError, match="two-class split"):
+            run(MM1, prio, 100, 1)
     out = run(MM1, Discipline("srpt-pr"), 100, 1)
     assert out.discipline is Discipline.SRPT_PR
 
