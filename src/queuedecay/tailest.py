@@ -1,7 +1,9 @@
 """Tail decay estimation and rare-event cross-validation.
 
 ``fit_decay`` returns minus the least-squares slope of the log empirical
-ccdf between the 0.99 sample quantile and the tenth-largest sample.
+ccdf between the 0.99 sample quantile and the tenth-largest sample.  It
+partitions the samples at the lower window end and sorts and counts only
+the top 1 - lo_quantile share, which holds every sample the fit reads.
 ``is_workload_tail`` estimates P(W > x) by importance sampling: the
 increment walk is tilted at gamma_w, where psi(gamma_w) = gamma_w and
 psi' > 1, so it drifts upward and first passage is certain.  The tilted
@@ -58,12 +60,16 @@ _DROP_TOP = 10
 
 
 def _ccdf_slope(x: np.ndarray, lo_quantile: float, min_points: int):
-    x = np.sort(x)
+    # Only the samples at or above the lo_quantile order statistic enter
+    # the fit, and every sample above such a value lies among them, so
+    # sorting that top share alone gives the full sort's counts.
     n = x.size
-    x_lo = x[int(np.ceil(lo_quantile * n)) - 1]
-    x_hi = x[n - _DROP_TOP]
-    vals, counts = np.unique(x, return_counts=True)
-    tail = n - np.cumsum(counts)        # count strictly greater than vals[i]
+    i_lo, i_hi = int(np.ceil(lo_quantile * n)) - 1, n - _DROP_TOP
+    k = min(i_lo, i_hi)
+    top = np.sort(np.partition(x, k)[k:])
+    x_lo, x_hi = top[i_lo - k], top[i_hi - k]
+    vals, counts = np.unique(top, return_counts=True)
+    tail = top.size - np.cumsum(counts)   # count strictly greater than vals[i]
     m = (vals >= x_lo) & (vals <= x_hi) & (tail > 0)
     if int(m.sum()) < min_points:
         raise DegenerateTailError(
@@ -99,6 +105,12 @@ def fit_decay(samples, lo_quantile: float = 0.99, min_points: int = 500,
         raise ValueError("samples must be finite")
     if not 0.0 < lo_quantile < 1.0:
         raise ValueError("lo_quantile must lie in (0, 1)")
+    for name, value, least in (("min_points", min_points, 3),
+                               ("bootstrap", bootstrap, 0)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < least):
+            raise ValueError(f"{name} must be an integer of at least {least}, "
+                             f"not {value!r}")
     rate, se, window, pts = _ccdf_slope(x, lo_quantile, min_points)
     ci = None
     if bootstrap > 0:

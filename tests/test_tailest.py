@@ -115,6 +115,139 @@ def test_fits_agree_overlap_rule():
     assert fits_agree(a, c, rel_floor=0.12)
 
 
+def _atom_at_zero():
+    x = _exp_samples(20_000, 1.0, seed=11)
+    x[stream(11, 1).random(x.size) < 0.4] = 0.0
+    return x
+
+
+def _ties_at_both_window_ends():
+    x = np.sort(_exp_samples(100_000, 1.0, seed=12))
+    k = int(np.ceil(0.99 * x.size)) - 1
+    x[k - 3:k + 4] = x[k]           # ties at the 0.99 order statistic
+    x[-12:-7] = x[-10]              # ties at the tenth-largest value
+    return stream(12, 1).permutation(x)
+
+
+# repr(TailFit) or the DegenerateTailError text on edge inputs; the fit
+# reads only the top order statistics, and these pin it to the figures
+# of a full sort and a count over every sample
+PINNED_FITS = {
+    "atom-at-zero": (
+        _atom_at_zero, dict(lo_quantile=0.3),
+        "TailFit(rate=0.9872779924654839, stderr=0.00015256753291297692, "
+        "window=(0.0, 6.952954765686419), points_used=11937, "
+        "bootstrap_ci=None)"),
+    "ties-at-window-ends": (
+        _ties_at_both_window_ends, {},
+        "TailFit(rate=0.9899865586127496, stderr=0.00161089316423147, "
+        "window=(4.569736378781853, 9.702136353826587), points_used=987, "
+        "bootstrap_ci=None)"),
+    "two-decimals-bootstrap": (
+        lambda: np.round(_exp_samples(100_000, 1.0, seed=13), 2),
+        dict(min_points=100, bootstrap=10, seed=4),
+        "TailFit(rate=0.8902286252456897, stderr=0.002868584260018145, "
+        "window=(4.57, 9.89), points_used=299, "
+        "bootstrap_ci=(0.8152185628791779, 0.9777907173734863))"),
+    "quantile-0.9": (
+        lambda: _exp_samples(300_000, 0.5, seed=14), dict(lo_quantile=0.9),
+        "TailFit(rate=0.5012594565707132, stderr=3.4698791857024456e-05, "
+        "window=(4.598897419107075, 22.06496806548192), points_used=29992, "
+        "bootstrap_ci=None)"),
+    "inverted-window": (
+        lambda: _exp_samples(20_000, 1.0, seed=15), dict(lo_quantile=0.9999),
+        "only 0 distinct values in the window "
+        "[9.466216953222993, 7.740335140419162]; need 500"),
+    "constant": (
+        lambda: np.full(10_000, 3.0), {},
+        "only 0 distinct values in the window [3.0, 3.0]; need 500"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_FITS)
+def test_fits_on_edge_inputs_match_pinned_figures(name):
+    make, kwargs, want = PINNED_FITS[name]
+    try:
+        got = repr(fit_decay(make(), **kwargs))
+    except DegenerateTailError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def _full_sort_window_counts(x, lo_quantile):
+    """The window ends and tail counts read off a sort of every sample."""
+    x = np.sort(x)
+    n = x.size
+    x_lo, x_hi = x[int(np.ceil(lo_quantile * n)) - 1], x[n - 10]
+    vals, counts = np.unique(x, return_counts=True)
+    tail = n - np.cumsum(counts)
+    m = (vals >= x_lo) & (vals <= x_hi) & (tail > 0)
+    return x_lo, x_hi, vals[m], tail[m]
+
+
+@pytest.mark.parametrize("kind", ["plain", "rounded", "atom", "integer"])
+@pytest.mark.parametrize("lo_quantile", [0.3, 0.9, 0.99, 0.9995, 0.9999])
+def test_fit_matches_a_full_sort_bitwise(kind, lo_quantile):
+    rng = stream(17, 0)
+    x = rng.exponential(1.0, 12_000)
+    if kind == "rounded":
+        x = np.round(x, 1)
+    elif kind == "atom":
+        x[rng.random(x.size) < 0.5] = 0.0
+    elif kind == "integer":
+        x = np.floor(8.0 * x)
+    x_lo, x_hi, xs, tail = _full_sort_window_counts(x, lo_quantile)
+    try:
+        fit = fit_decay(x, lo_quantile=lo_quantile, min_points=3)
+    except DegenerateTailError as exc:
+        assert xs.size < 3
+        assert str(exc) == (f"only {xs.size} distinct values in the window "
+                            f"[{x_lo}, {x_hi}]; need 3")
+        return
+    ys = np.log(tail / x.size)
+    xbar = xs.mean()
+    slope = float(((xs - xbar) * ys).sum()) / float(((xs - xbar) ** 2).sum())
+    assert fit.rate == -slope
+    assert fit.window == (float(x_lo), float(x_hi))
+    assert fit.points_used == xs.size
+
+
+def test_pinned_ties_sit_at_both_window_ends():
+    x = _ties_at_both_window_ends()
+    fit = fit_decay(x)
+    assert (x == fit.window[0]).sum() == 7
+    assert (x == fit.window[1]).sum() == 5
+
+
+def test_fit_leaves_its_input_alone():
+    x = _exp_samples(40_000, 1.0, seed=16)
+    kept = x.copy()
+    fit = fit_decay(x, min_points=200, bootstrap=5)
+    assert np.array_equal(x, kept)
+    strided = np.repeat(x, 2)[::2]
+    assert not strided.flags.c_contiguous
+    assert fit_decay(strided, min_points=200, bootstrap=5) == fit
+    assert fit_decay(x.tolist(), min_points=200, bootstrap=5) == fit
+    assert np.array_equal(strided, kept)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(lo_quantile=0.9995, min_points=1),
+    dict(lo_quantile=0.9999, min_points=0),
+    dict(min_points=2), dict(min_points=3.0), dict(min_points=True),
+    dict(bootstrap=2.5), dict(bootstrap=-3), dict(bootstrap=True),
+    dict(bootstrap=None)])
+def test_fit_rejects_bad_min_points_and_bootstrap(kwargs):
+    with pytest.raises(ValueError, match="min_points|bootstrap"):
+        fit_decay(_exp_samples(20_000, 1.0), **kwargs)
+
+
+def test_fit_accepts_numpy_integer_counts():
+    x = _exp_samples(20_000, 1.0)
+    want = fit_decay(x, min_points=100, bootstrap=3)
+    assert fit_decay(x, min_points=np.int64(100), bootstrap=np.int32(3)) == want
+
+
 def test_tilt_preserves_root_identity():
     for model in (MM1,
                   QueueModel(Exponential(0.5), UniformInterval(0.5, 2.5)),
