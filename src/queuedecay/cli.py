@@ -26,7 +26,7 @@ from .ratecalc import (NumericalFailure, QueueModel, UnstableError,
                        decay_report, gamma_p_trunc, model_from_json,
                        model_to_json, y_star)
 from .simqueue import Discipline, run, service_bins, write_records_csv
-from .tailest import DegenerateTailError, compare_rates, fit_decay
+from .tailest import compare_rates, fit_decay
 from .validate import run_all
 
 EXIT_OK = 0
@@ -145,7 +145,7 @@ def _fit_block(samples, analytic: Optional[float], **window):
              "skipped": None}
     try:
         fit = fit_decay(samples, **window)
-    except (ValueError, DegenerateTailError) as exc:
+    except ValueError as exc:
         block["skipped"] = str(exc)
         return block
     block["fit"] = fit.to_json()

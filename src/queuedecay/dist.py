@@ -4,7 +4,9 @@ Declarative specs (exponential, deterministic, uniform interval, Erlang,
 finite mixture) closed under the transforms a single-server queue analysis
 needs: truncation B*1(B<y), conditioning on {B < y} and endpoint-atom
 removal.  Every moment generating function is closed form; no quadrature
-anywhere.  Sampling is inverse transform driven by ``rng.random()`` so
+anywhere.  The mass a law puts below, at and above a point, which those
+transforms and the endpoint-atom dispatch read, comes from one map,
+``masses``.  Sampling is inverse transform driven by ``rng.random()`` so
 streams are reproducible bit for bit from a seed.  Every draw, plain or
 reweighted by exp(theta x) for importance sampling, comes from one
 sampler per law, and every first-passage walk from one chunked loop.
@@ -279,65 +281,45 @@ def ess_inf(d: DistributionSpec) -> float:
     return min(ess_inf(c) for _, c in d.components)
 
 
-def atom_at(d: DistributionSpec, x: float) -> float:
-    """Point mass P(X = x); structural, only Deterministic leaves carry atoms."""
+def masses(d: DistributionSpec, x: float) -> Tuple[float, float, float]:
+    """(P(X < x), P(X = x), P(X > x)), the variant dispatched once.
+
+    Each side is computed from its own end of the law, so a tiny lower
+    or upper mass keeps its digits instead of rounding to 0 as one minus
+    the other side would.  Only Deterministic leaves carry atoms; a
+    mixture sums P(X <= x), the atom and the upper mass over its
+    components, then takes the atom off the first."""
     if isinstance(d, Deterministic):
-        return 1.0 if d.value == x else 0.0
+        return float(x > d.value), float(x == d.value), float(x < d.value)
+    if isinstance(d, UniformInterval):
+        width = d.hi - d.lo
+        return (min(1.0, max(0.0, (x - d.lo) / width)), 0.0,
+                min(1.0, max(0.0, (d.hi - x) / width)))
     if isinstance(d, FiniteMixture):
-        return math.fsum(w * atom_at(c, x) for w, c in d.components)
-    return 0.0
-
-
-def cdf(d: DistributionSpec, x: float) -> float:
-    """P(X <= x)."""
-    if isinstance(d, Exponential):
-        return -math.expm1(-d.rate * x) if x > 0 else 0.0
-    if isinstance(d, Deterministic):
-        return 1.0 if x >= d.value else 0.0
-    if isinstance(d, UniformInterval):
-        if x <= d.lo:
-            return 0.0
-        if x >= d.hi:
-            return 1.0
-        return (x - d.lo) / (d.hi - d.lo)
-    if isinstance(d, Erlang):
-        return float(gammainc(d.shape, d.rate * x)) if x > 0 else 0.0
+        parts = [(w, masses(c, x)) for w, c in d.components]
+        at = math.fsum(w * a for w, (_, a, _) in parts)
+        return (math.fsum(w * (b + a) for w, (b, a, _) in parts) - at, at,
+                math.fsum(w * c for w, (_, _, c) in parts))
     if isinstance(d, ConditionedBelow):
         if x <= 0:
-            return 0.0
+            return 0.0, 0.0, 1.0
         if x >= d.cutoff:
-            return 1.0
+            return 1.0, 0.0, 0.0
         k, rate, den = _cond_parts(d)
-        return float(gammainc(k, rate * x)) / den
-    return math.fsum(w * cdf(c, x) for w, c in d.components)
-
-
-def prob_below(d: DistributionSpec, x: float) -> float:
-    """P(X < x), strict."""
-    return cdf(d, x) - atom_at(d, x)
-
-
-def sf(d: DistributionSpec, x: float) -> float:
-    """P(X > x), per variant, so that a tiny tail does not round to 0."""
-    if isinstance(d, (Exponential, Erlang)):
-        k, rate = _erlang_params(d)
-        return float(gammaincc(k, rate * x)) if x > 0 else 1.0
-    if isinstance(d, Deterministic):
-        return 1.0 if x < d.value else 0.0
-    if isinstance(d, UniformInterval):
-        return min(1.0, max(0.0, (d.hi - x) / (d.hi - d.lo)))
-    if isinstance(d, ConditionedBelow):
-        if x <= 0:
-            return 1.0
-        if x >= d.cutoff:
-            return 0.0
-        k, rate, den = _cond_parts(d)
+        below = float(gammainc(k, rate * x))
         # P(x < base < cutoff) from whichever side of the base law is small
         if den < 0.5:
-            return (den - float(gammainc(k, rate * x))) / den
-        return (float(gammaincc(k, rate * x))
-                - float(gammaincc(k, rate * d.cutoff))) / den
-    return math.fsum(w * sf(c, x) for w, c in d.components)
+            return below / den, 0.0, (den - below) / den
+        return below / den, 0.0, (float(gammaincc(k, rate * x))
+                                  - float(gammaincc(k, rate * d.cutoff))) / den
+    if not x > 0:
+        return 0.0, 0.0, 1.0
+    k, rate = _erlang_params(d)
+    if isinstance(d, Exponential):
+        below = -math.expm1(-rate * x)
+    else:
+        below = float(gammainc(k, rate * x))
+    return below, 0.0, float(gammaincc(k, rate * x))
 
 
 def _value(x: float, f, *args) -> float:
@@ -408,7 +390,7 @@ def inverse_mgf_neg(d: DistributionSpec, v: float) -> float:
     """
     if v > 1.0:
         raise OutOfRangeError(f"v={v} exceeds mgf(d, 0) = 1")
-    floor = atom_at(d, 0.0)
+    floor = masses(d, 0.0)[1]
     if v <= floor:
         raise OutOfRangeError(f"v={v} at or below inf mgf(d, -u) = {floor}")
     if v == 1.0:
@@ -430,7 +412,7 @@ def _condition_below(d: DistributionSpec, y: float) -> DistributionSpec:
         return d if y >= d.hi else UniformInterval(d.lo, y)
     if isinstance(d, ConditionedBelow):
         return d if y >= d.cutoff else ConditionedBelow(d.base, y)
-    parts = [(w * prob_below(c, y), c) for w, c in d.components]
+    parts = [(w * masses(c, y)[0], c) for w, c in d.components]
     total = math.fsum(p for p, _ in parts)
     kept = [(p / total, _condition_below(c, y)) for p, c in parts if p > 0]
     if len(kept) == 1:
@@ -442,9 +424,9 @@ def truncate_below(d: DistributionSpec, y: float) -> DistributionSpec:
     """Law of X*1(X < y): mass P(X >= y) relocated to an atom at 0."""
     if not y > 0:
         raise ValueError("y must be positive")
-    below = prob_below(d, y)
-    # P(X >= y) from the survival side, so that a tiny tail keeps its mass
-    above = sf(d, y) + atom_at(d, y)
+    below, at, above = masses(d, y)
+    # P(X >= y) from the upper side, so that a tiny tail keeps its mass
+    above += at
     if above == 0.0:
         return d
     if below == 0.0:
@@ -461,7 +443,7 @@ def split_endpoint_atom(
     x_b = ess_sup(d)
     if math.isinf(x_b):
         return 0.0, math.inf, None
-    q = atom_at(d, x_b)
+    q = masses(d, x_b)[1]
     if q == 0.0:
         return 0.0, x_b, None
     if q >= 1.0:
@@ -605,6 +587,16 @@ def json_number(obj: dict, key: str, integral: bool = False):
         return float(value)
     if value != int(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(name: str, value, least: int) -> int:
+    """A count argument as an int; a bool, a value that is not an integer
+    (numpy integers are) or one below ``least`` is a ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"not {value!r}")
     return int(value)
 
 

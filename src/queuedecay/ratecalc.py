@@ -30,11 +30,11 @@ from .dist import (
     from_json,
     inverse_mgf_neg,
     json_number,
+    masses,
     mgf,
     mgf_abscissa,
     mgf_deriv,
     moments,
-    sf,
     split_endpoint_atom,
     to_json,
     truncate_below,
@@ -400,7 +400,7 @@ def y_star(model: QueueModel) -> CriticalTruncation:
     value = find_root(_cutoff_excess, (model, gw), 0.0, -math.inf, _doublings())
     if value is None:
         raise NumericalFailure("no finite cutoff bracket; load may be degenerate")
-    return CriticalTruncation(value, sf(model.service, value))
+    return CriticalTruncation(value, masses(model.service, value)[2])
 
 
 def heavy_traffic(model: QueueModel) -> HeavyTrafficApprox:

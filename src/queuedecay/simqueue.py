@@ -37,7 +37,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import _first_passage, _value, find_root, sample_array, stream
+from .dist import _count, _first_passage, _value, find_root, sample_array, stream
 from .ratecalc import NumericalFailure, QueueModel
 
 
@@ -178,11 +178,7 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
     key share the same arrays and sample them once; only the two event
     arrays (first service start, departure) are the discipline's own.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, not {n!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count("n", n, 1)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must lie in [0, 1)")
     if not isinstance(discipline, Discipline):
@@ -349,8 +345,7 @@ def _paths(model, horizon, replications, seed):
     # caller draws its services on from the same stream
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    replications = _count("replications", replications, 1)
     draw = functools.partial(sample_array, model.arrival)
     rngs = (stream(seed, rep) for rep in range(replications))
     return ((rng, _first_passage(draw, rng, horizon, 1024)[0]) for rng in rngs)

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dist import OutOfDomainError, _first_passage, _sampler, stream
+from .dist import OutOfDomainError, _count, _first_passage, _sampler, stream
 from .ratecalc import QueueModel, _psi_slope, gamma_w_detail
 
 
@@ -105,12 +105,8 @@ def fit_decay(samples, lo_quantile: float = 0.99, min_points: int = 500,
         raise ValueError("samples must be finite")
     if not 0.0 < lo_quantile < 1.0:
         raise ValueError("lo_quantile must lie in (0, 1)")
-    for name, value, least in (("min_points", min_points, 3),
-                               ("bootstrap", bootstrap, 0)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < least):
-            raise ValueError(f"{name} must be an integer of at least {least}, "
-                             f"not {value!r}")
+    min_points = _count("min_points", min_points, 3)
+    bootstrap = _count("bootstrap", bootstrap, 0)
     rate, se, window, pts = _ccdf_slope(x, lo_quantile, min_points)
     ci = None
     if bootstrap > 0:
@@ -216,8 +212,7 @@ def is_workload_tail(model: QueueModel, x: float, replications: int,
     exp(-2 gamma_w x) is below the smallest normal float is a ValueError."""
     if not 0 <= x < math.inf:
         raise ValueError("x must be finite and nonnegative")
-    if replications < 2:
-        raise ValueError("need at least two replications")
+    replications = _count("replications", replications, 2)
     measure = tilt_measure(model)
     nu = measure.nu
     if math.exp(-2.0 * nu * x) < sys.float_info.min:

@@ -8,7 +8,7 @@ import pytest
 
 import queuedecay.validate
 from queuedecay.cli import _parse_grid, main
-from queuedecay.ratecalc import PriorityDecay, y_star
+from queuedecay.ratecalc import PriorityDecay, gamma_p_trunc, model_from_json, y_star
 from queuedecay.validate import run_criterion
 
 MM1 = {"arrival": {"type": "exponential", "rate": 0.5},
@@ -19,6 +19,8 @@ SPLIT = {"arrival": {"type": "exponential", "rate": 1.0},
                    "class2": {"type": "deterministic", "value": 1.0}}}
 UNSTABLE = {"arrival": {"type": "exponential", "rate": 2.0},
             "service": {"type": "exponential", "rate": 1.0}}
+UNIFORM_ARRIVALS = {"arrival": {"type": "uniform", "lo": 0.5, "hi": 1.5},
+                    "service": {"type": "exponential", "rate": 1.5}}
 NO_DELAYS = {"arrival": {"type": "deterministic", "value": 2.0},
              "service": {"type": "deterministic", "value": 1.0}}
 
@@ -105,6 +107,23 @@ def test_rates_csv_output(capsys, model_file):
     assert float(table["gamma_w"]) == pytest.approx(0.5, abs=1e-12)
     assert table["gamma_w2"] == ""  # None renders as an empty cell
     assert table["case"] and "'" not in table["case"]
+
+
+@pytest.mark.parametrize("model", [MM1, SPLIT, UNIFORM_ARRIVALS],
+                         ids=["mm1", "split", "uniform-arrivals"])
+def test_rates_ystar_csv_rows_equal_the_json_values(capsys, model_file, model):
+    path = model_file(model)
+    code, out = _run(capsys, ["rates", "--model", path, "--ystar"])
+    assert code == 0
+    doc = json.loads(out)
+    code, out = _run(capsys, ["rates", "--model", path, "--ystar",
+                              "--output", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines[-2:]] == ["y_star", "p_exceed"]
+    table = dict(line.split(",", 1) for line in lines[1:])
+    assert float(table["y_star"]) == doc["y_star"]
+    assert float(table["p_exceed"]) == doc["p_exceed"]
 
 
 def test_rates_byte_deterministic(capsys, model_file):
@@ -217,6 +236,29 @@ def test_simulate_bins_document(capsys, model_file):
     assert finite
     rates = [b["analytic"] for b in finite]
     assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(rates, rates[1:]))
+
+
+def test_simulate_bins_zero_picks_a_tenth_of_the_mean_service(capsys, model_file):
+    # E[B] = 2/3, so the bins are 1/15 wide; a cutoff of at most 0.5 keeps
+    # every service below the shortest inter-arrival time, so the first
+    # eight bins, whose midpoints reach 0.5, have a truncated system that
+    # never queues and no analytic rate
+    code, out = _run(capsys, ["simulate", "--model", model_file(UNIFORM_ARRIVALS),
+                              "--discipline", "srpt-pr", "--customers", "20000",
+                              "--seed", "3", "--bins", "0"])
+    assert code == 0
+    bins = json.loads(out)["bins"]
+    width = 0.1 * (1.0 / 1.5)
+    index = [round(b["lo"] / width) for b in bins]
+    assert index[:9] == list(range(9))
+    assert [(b["lo"], b["hi"]) for b in bins] == [
+        (j * width, (j + 1) * width) for j in index]
+    assert [b["analytic"] for b in bins[:8]] == [None] * 8
+    model = model_from_json(UNIFORM_ARRIVALS)
+    rates = [b["analytic"] for b in bins[8:]]
+    assert rates == [gamma_p_trunc(model, 0.5 * (b["lo"] + b["hi"]))
+                     for b in bins[8:]]
+    assert all(math.isfinite(r) for r in rates)
 
 
 @pytest.mark.parametrize("width", ["1e-300", "inf"])

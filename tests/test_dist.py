@@ -15,20 +15,17 @@ from queuedecay.dist import (
     OutOfRangeError,
     UniformInterval,
     _sampler,
-    atom_at,
-    cdf,
     ess_inf,
     ess_sup,
     find_root,
     from_json,
     inverse_mgf_neg,
+    masses,
     mgf,
     mgf_abscissa,
     mgf_deriv,
     moments,
-    prob_below,
     sample_array,
-    sf,
     split_endpoint_atom,
     stream,
     to_json,
@@ -125,30 +122,36 @@ def test_inverse_mgf_neg_edge_cases():
 def test_support_and_atoms():
     assert ess_sup(Deterministic(2.0)) == 2.0
     assert ess_inf(Deterministic(2.0)) == 2.0
-    assert atom_at(Deterministic(2.0), 2.0) == 1.0
+    assert masses(Deterministic(2.0), 2.0)[1] == 1.0
     assert math.isinf(ess_sup(Exponential(1.0)))
     assert ess_inf(UniformInterval(0.5, 1.5)) == 0.5
     mix = FiniteMixture(((0.4, Deterministic(1.0)), (0.6, UniformInterval(0.0, 1.0))))
     assert ess_sup(mix) == 1.0
-    assert atom_at(mix, 1.0) == pytest.approx(0.4)
-    assert prob_below(mix, 1.0) == pytest.approx(0.6)
+    below, at, _ = masses(mix, 1.0)
+    assert at == pytest.approx(0.4)
+    assert below == pytest.approx(0.6)
+
+
+def _cdf(d, x):
+    below, at, _ = masses(d, x)
+    return below + at
 
 
 def test_cdf_basics():
-    assert cdf(Exponential(2.0), 1.0) == pytest.approx(1 - math.exp(-2.0))
-    assert cdf(Deterministic(1.0), 0.999) == 0.0
-    assert cdf(Deterministic(1.0), 1.0) == 1.0
-    assert cdf(UniformInterval(0.0, 2.0), 0.5) == pytest.approx(0.25)
+    assert _cdf(Exponential(2.0), 1.0) == pytest.approx(1 - math.exp(-2.0))
+    assert _cdf(Deterministic(1.0), 0.999) == 0.0
+    assert _cdf(Deterministic(1.0), 1.0) == 1.0
+    assert _cdf(UniformInterval(0.0, 2.0), 0.5) == pytest.approx(0.25)
     cb = ConditionedBelow(Exponential(1.0), 2.0)
-    assert cdf(cb, 2.0) == pytest.approx(1.0)
-    assert cdf(cb, 1.0) == pytest.approx((1 - math.exp(-1.0)) / (1 - math.exp(-2.0)))
+    assert _cdf(cb, 2.0) == pytest.approx(1.0)
+    assert _cdf(cb, 1.0) == pytest.approx((1 - math.exp(-1.0)) / (1 - math.exp(-2.0)))
 
 
 def test_truncate_below_structure_and_mass():
     d = Exponential(1.0)
     t = truncate_below(d, 1.5)
     assert isinstance(t, FiniteMixture)
-    assert atom_at(t, 0.0) == pytest.approx(math.exp(-1.5))
+    assert masses(t, 0.0)[1] == pytest.approx(math.exp(-1.5))
     mean_t, _ = moments(t)
     mean, _ = moments(d)
     assert mean_t < mean
@@ -157,7 +160,7 @@ def test_truncate_below_structure_and_mass():
     assert truncate_below(u, 2.0) == u
     # cutoff at or below the lower endpoint kills everything
     dead = truncate_below(Deterministic(1.0), 1.0)
-    assert ess_sup(dead) == 0.0 and atom_at(dead, 0.0) == 1.0
+    assert ess_sup(dead) == 0.0 and masses(dead, 0.0)[1] == 1.0
 
 
 def test_truncation_mean_monotone_in_cutoff():
@@ -212,7 +215,7 @@ def test_sampling_ks(d):
     n = 10_000
     x = sample_array(d, stream(7, 0), n)
     assert x.min() >= 0
-    ks = _ks_statistic(x, lambda v: cdf(d, v) - atom_at(d, v))
+    ks = _ks_statistic(x, lambda v: masses(d, v)[0])
     assert ks <= 1.95 / math.sqrt(n)
 
 
@@ -367,25 +370,25 @@ def test_constructors_reject_infinite_fields(build):
 def test_sf_is_the_complement_of_cdf():
     for d in VARIANTS:
         for x in (-1.0, 0.0, 0.3, 0.9, 1.3, 1.99, 2.0, 5.0):
-            assert sf(d, x) == pytest.approx(1.0 - cdf(d, x), abs=1e-14)
+            assert masses(d, x)[2] == pytest.approx(1.0 - _cdf(d, x), abs=1e-14)
 
 
 def test_sf_keeps_tiny_tails():
-    # 1 - cdf rounds these to 0; the survival function keeps their digits
-    assert sf(Exponential(1.0), 50.0) == pytest.approx(math.exp(-50.0),
-                                                       rel=1e-14, abs=0.0)
+    # 1 - cdf rounds these to 0; the upper mass keeps their digits
+    assert masses(Exponential(1.0), 50.0)[2] == pytest.approx(
+        math.exp(-50.0), rel=1e-14, abs=0.0)
     erlang = Erlang(3, 1.0)
     x = 60.0
     tail = math.exp(-x) * (1.0 + x + x * x / 2.0)
-    assert 1.0 - cdf(erlang, x) == 0.0
-    assert sf(erlang, x) == pytest.approx(tail, rel=1e-12, abs=0.0)
+    assert 1.0 - _cdf(erlang, x) == 0.0
+    assert masses(erlang, x)[2] == pytest.approx(tail, rel=1e-12, abs=0.0)
     mix = FiniteMixture(((0.5, Exponential(1.0)), (0.5, Deterministic(1.0))))
-    assert sf(mix, 50.0) == pytest.approx(0.5 * math.exp(-50.0),
-                                          rel=1e-14, abs=0.0)
+    assert masses(mix, 50.0)[2] == pytest.approx(0.5 * math.exp(-50.0),
+                                                 rel=1e-14, abs=0.0)
     cond = ConditionedBelow(Exponential(1.0), 60.0)
     x = 40.0
     want = (math.exp(-x) - math.exp(-60.0)) / -math.expm1(-60.0)
-    assert sf(cond, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert masses(cond, x)[2] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_conditioned_large_shape_stays_finite():

@@ -1,16 +1,20 @@
-"""Every name a module imports is used in that module, and the package
-root exports exactly the names the README and the benchmark use.
+"""Every name a module imports is used in that module, the package root
+exports exactly the names the README and the benchmark use, and every
+name the README's Library paragraph lists exists where it says.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's exports.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "queuedecay"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "queuedecay"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 EXPORTS = {
     "ConditionedBelow", "Deterministic", "Discipline", "Erlang", "Exponential",
@@ -51,3 +55,33 @@ def test_the_package_root_exports_exactly_the_public_names():
     imported = [alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(imported) == sorted(EXPORTS)
+
+
+def _library_paragraph() -> str:
+    text = (ROOT / "README.md").read_text()
+    start = text.index("The package root exports")
+    return " ".join(text[start:text.index("\n\n", start)].split())
+
+
+def _names(text: str) -> list:
+    # backticked identifiers; patterns such as `*_detail` are not names
+    return re.findall(r"`([A-Za-z_]\w*)`", text)
+
+
+def test_the_readme_lists_exactly_the_package_exports():
+    paragraph = _library_paragraph()
+    root = paragraph[:paragraph.index("Everything else")]
+    assert sorted(_names(root)) == sorted(EXPORTS)
+
+
+def test_every_name_the_readme_lists_per_module_exists():
+    listed = re.findall(r"`queuedecay\.(\w+)` \(([^)]*)\)", _library_paragraph())
+    assert [module for module, _ in listed] == ["dist", "ratecalc", "simqueue",
+                                                "tailest"]
+    missing = []
+    for module, names in listed:
+        found = importlib.import_module(f"queuedecay.{module}")
+        assert _names(names), module
+        missing += [f"queuedecay.{module}.{name}" for name in _names(names)
+                    if not hasattr(found, name)]
+    assert missing == []

@@ -505,6 +505,28 @@ def test_cycle_psi_validation():
         cycle_psi(MM1, -0.1, 10.0, 10, 1)
 
 
+@pytest.mark.parametrize("replications", [2.5, True, "3", None, 0],
+                         ids=["fraction", "bool", "string", "none", "zero"])
+@pytest.mark.parametrize("estimator", [empirical_psi, cycle_psi],
+                         ids=["empirical_psi", "cycle_psi"])
+def test_psi_estimators_reject_a_bad_replication_count(estimator, replications):
+    with pytest.raises(ValueError, match="integer"):
+        estimator(MM1, 0.25, 5.0, replications, 1)
+
+
+def test_cycle_psi_checks_the_replication_count_before_s():
+    with pytest.raises(ValueError, match="replications must be an integer"):
+        cycle_psi(MM1, -0.1, 5.0, 2.5, 1)
+
+
+@pytest.mark.parametrize("estimator", [empirical_psi, cycle_psi],
+                         ids=["empirical_psi", "cycle_psi"])
+def test_psi_estimators_accept_a_numpy_integer_count(estimator):
+    want = estimator(MM1, 0.25, 50.0, 8, 4)
+    assert estimator(MM1, 0.25, 50.0, np.int64(8), 4) == want
+    assert estimator(MM1, 0.25, 50.0, np.int32(8), 4) == want
+
+
 def test_cycle_psi_matches_renewal_psi():
     model = QueueModel(Erlang(3, 1.5), UniformInterval(0.0, 1.5))
     est = cycle_psi(model, 0.5, 2000.0, 200, 3)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import queuedecay
+from queuedecay import tailest
 from queuedecay.dist import (
     ConditionedBelow,
     Deterministic,
@@ -389,6 +390,22 @@ def test_is_workload_tail_rejects_a_level_whose_weights_underflow():
     assert len(lines) == 3
     assert all(line.startswith("ValueError gamma_w * x = ") for line in lines)
     assert all("underflow" in line for line in lines)
+
+
+@pytest.mark.parametrize("replications", [2.5, True, "3", None, 1],
+                         ids=["fraction", "bool", "string", "none", "one"])
+def test_is_workload_tail_rejects_a_bad_replication_count(monkeypatch, replications):
+    # refused before the rate is solved and the tilt is built
+    def no_tilt(model):
+        raise AssertionError("the tilt was built")
+    monkeypatch.setattr(tailest, "tilt_measure", no_tilt)
+    with pytest.raises(ValueError, match="integer"):
+        is_workload_tail(MM1, 2.0, replications, 1)
+
+
+def test_is_workload_tail_accepts_a_numpy_integer_count():
+    want = is_workload_tail(MM1, 2.0, 50, 3)
+    assert is_workload_tail(MM1, 2.0, np.int64(50), 3) == want
 
 
 def test_is_workload_tail_at_zero_matches_load():
