@@ -4,12 +4,14 @@ Declarative specs (exponential, deterministic, uniform interval, Erlang,
 finite mixture) closed under the transforms a single-server queue analysis
 needs: truncation B*1(B<y), conditioning on {B < y} and endpoint-atom
 removal.  Every moment generating function is closed form; no quadrature
-anywhere.  The mass a law puts below, at and above a point, which those
-transforms and the endpoint-atom dispatch read, comes from one map,
-``masses``.  Sampling is inverse transform driven by ``rng.random()`` so
-streams are reproducible bit for bit from a seed.  Every draw, plain or
-reweighted by exp(theta x) for importance sampling, comes from one
-sampler per law, and every first-passage walk from one chunked loop.
+anywhere.  ``masses`` gives the mass below, at and above a point, which
+those transforms and the endpoint-atom dispatch read; ``support`` gives
+the essential infimum and supremum and the mgf abscissa, which bound
+every search.  Sampling is inverse transform driven by ``rng.random()``
+so streams are reproducible bit for bit from a seed.  Every draw, plain
+or reweighted by exp(theta x), comes from one sampler per law, and every
+first-passage walk from one chunked loop.  One table gives each leaf
+law's JSON tag and fields, read and written.
 """
 
 from __future__ import annotations
@@ -171,13 +173,20 @@ def _cond_moment(d: ConditionedBelow, j: int, s: float) -> float:
 
 
 @_per_spec
-def mgf_abscissa(d: DistributionSpec) -> float:
-    """Abscissa of convergence of the mgf; +inf for bounded support."""
+def support(d: DistributionSpec) -> Tuple[float, float, float]:
+    """(ess inf, ess sup, abscissa of convergence of the mgf), the variant
+    dispatched once; the abscissa is +inf for bounded support.  A mixture
+    takes the min, the max and the min over its components."""
     if isinstance(d, (Exponential, Erlang)):
-        return d.rate
-    if isinstance(d, FiniteMixture):
-        return min(mgf_abscissa(c) for _, c in d.components)
-    return math.inf
+        return 0.0, math.inf, d.rate
+    if isinstance(d, Deterministic):
+        return d.value, d.value, math.inf
+    if isinstance(d, UniformInterval):
+        return d.lo, d.hi, math.inf
+    if isinstance(d, ConditionedBelow):
+        return 0.0, d.cutoff, math.inf
+    infs, sups, abscissas = zip(*(support(c) for _, c in d.components))
+    return min(infs), max(sups), min(abscissas)
 
 
 def mgf(d: DistributionSpec, s: float) -> float:
@@ -185,7 +194,7 @@ def mgf(d: DistributionSpec, s: float) -> float:
 
     Raises OutOfDomainError when s >= s_max(d).
     """
-    if s >= mgf_abscissa(d):
+    if s >= support(d)[2]:
         raise OutOfDomainError(f"s={s} at or beyond abscissa of convergence")
     return _mgf(d, s)
 
@@ -209,7 +218,7 @@ def _mgf(d, s):
 
 def mgf_deriv(d: DistributionSpec, s: float) -> float:
     """E[X exp(s X)], the derivative of the mgf."""
-    if s >= mgf_abscissa(d):
+    if s >= support(d)[2]:
         raise OutOfDomainError(f"s={s} at or beyond abscissa of convergence")
     return _mgf_deriv(d, s)
 
@@ -257,28 +266,6 @@ def moments(d: DistributionSpec) -> Tuple[float, float]:
     mean = math.fsum(w * m for w, m, _ in parts)
     msq = math.fsum(w * (v + m * m) for w, m, v in parts)
     return mean, msq - mean * mean
-
-
-def ess_sup(d: DistributionSpec) -> float:
-    if isinstance(d, (Exponential, Erlang)):
-        return math.inf
-    if isinstance(d, Deterministic):
-        return d.value
-    if isinstance(d, UniformInterval):
-        return d.hi
-    if isinstance(d, ConditionedBelow):
-        return d.cutoff
-    return max(ess_sup(c) for _, c in d.components)
-
-
-def ess_inf(d: DistributionSpec) -> float:
-    if isinstance(d, (Exponential, Erlang, ConditionedBelow)):
-        return 0.0
-    if isinstance(d, Deterministic):
-        return d.value
-    if isinstance(d, UniformInterval):
-        return d.lo
-    return min(ess_inf(c) for _, c in d.components)
 
 
 def masses(d: DistributionSpec, x: float) -> Tuple[float, float, float]:
@@ -377,6 +364,11 @@ def find_root(f, args: tuple, lo: float, f_lo: float, points) -> Optional[float]
         raise NumericalFailure(str(exc)) from exc
 
 
+def _doublings():
+    # the right ends every bracket search tries: 1, 2, 4, ..., 2**1023
+    return (2.0 ** k for k in range(1024))
+
+
 def _mgf_gap(u: float, d, v: float) -> float:
     return v - _mgf(d, -u)
 
@@ -395,8 +387,7 @@ def inverse_mgf_neg(d: DistributionSpec, v: float) -> float:
         raise OutOfRangeError(f"v={v} at or below inf mgf(d, -u) = {floor}")
     if v == 1.0:
         return 0.0
-    u = find_root(_mgf_gap, (d, v), 0.0, v - 1.0,
-                  (2.0 ** k for k in range(1024)))
+    u = find_root(_mgf_gap, (d, v), 0.0, v - 1.0, _doublings())
     if u is None:
         raise OutOfRangeError(f"v={v} too close to the infimum to bracket")
     return u
@@ -440,7 +431,7 @@ def split_endpoint_atom(
 ) -> Tuple[float, float, Optional[DistributionSpec]]:
     """(q, x_B, B1): endpoint atom mass, essential sup, and the law of
     X given {X < x_B} when 0 < q < 1 (None when q is 0 or 1)."""
-    x_b = ess_sup(d)
+    x_b = support(d)[1]
     if math.isinf(x_b):
         return 0.0, math.inf, None
     q = masses(d, x_b)[1]
@@ -488,7 +479,7 @@ def _sampler(d: DistributionSpec, theta: float):
                                  [_sampler(c, theta) for _, c in d.components])
     base = d.base if isinstance(d, ConditionedBelow) else d
     k, rate = _erlang_params(base)
-    cutoff = ess_sup(d)
+    cutoff = support(d)[1]
     if k == 1 and cutoff < math.inf:
         return functools.partial(_window_draw, 0.0, cutoff, theta - rate)
     if not theta < rate:
@@ -558,15 +549,20 @@ def _first_passage(draw, rng: np.random.Generator, level: float,
         total = float(path[-1])
 
 
+# each leaf law's JSON tag and fields, in the order to_json writes them;
+# an Erlang's shape is the one integral field
+_LEAVES = {
+    Exponential: ("exponential", ("rate",)),
+    Deterministic: ("deterministic", ("value",)),
+    UniformInterval: ("uniform", ("lo", "hi")),
+    Erlang: ("erlang", ("shape", "rate")),
+}
+
+
 def to_json(d: DistributionSpec) -> dict:
-    if isinstance(d, Exponential):
-        return {"type": "exponential", "rate": d.rate}
-    if isinstance(d, Deterministic):
-        return {"type": "deterministic", "value": d.value}
-    if isinstance(d, UniformInterval):
-        return {"type": "uniform", "lo": d.lo, "hi": d.hi}
-    if isinstance(d, Erlang):
-        return {"type": "erlang", "shape": d.shape, "rate": d.rate}
+    if type(d) in _LEAVES:
+        tag, fields = _LEAVES[type(d)]
+        return {"type": tag, **{f: getattr(d, f) for f in fields}}
     if isinstance(d, ConditionedBelow):
         return {"type": "conditioned_below", "base": to_json(d.base),
                 "cutoff": d.cutoff}
@@ -616,15 +612,11 @@ def _from_json(obj, levels: int) -> DistributionSpec:
         raise ValueError("distribution JSON must be an object with a 'type'")
     t = obj["type"]
     try:
-        if t == "exponential":
-            return Exponential(json_number(obj, "rate"))
-        if t == "deterministic":
-            return Deterministic(json_number(obj, "value"))
-        if t == "uniform":
-            return UniformInterval(json_number(obj, "lo"), json_number(obj, "hi"))
-        if t == "erlang":
-            return Erlang(json_number(obj, "shape", integral=True),
-                          json_number(obj, "rate"))
+        # compared, not looked up: a tag such as [1] is no dict key
+        for cls, (tag, fields) in _LEAVES.items():
+            if t == tag:
+                return cls(*(json_number(obj, f, integral=f == "shape")
+                             for f in fields))
         if t == "conditioned_below":
             base = _from_json(obj["base"], levels - 1)
             if not isinstance(base, (Exponential, Erlang)):

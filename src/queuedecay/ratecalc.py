@@ -23,19 +23,18 @@ from .dist import (
     NumericalFailure,
     OutOfDomainError,
     OutOfRangeError,
+    _doublings,
     _value,
-    ess_inf,
-    ess_sup,
     find_root,
     from_json,
     inverse_mgf_neg,
     json_number,
     masses,
     mgf,
-    mgf_abscissa,
     mgf_deriv,
     moments,
     split_endpoint_atom,
+    support,
     to_json,
     truncate_below,
 )
@@ -49,7 +48,6 @@ class NoDelaysError(ValueError):
     """Service time never exceeds an inter-arrival time."""
 
 
-_MAX_EXPAND = 200
 _DOMAIN_MARGIN = 1.0 - 1e-9
 
 
@@ -94,7 +92,7 @@ class QueueModel:
         if not mean_b < mean_a:
             load = mean_b / mean_a if mean_a > 0 else math.inf
             raise UnstableError(f"load {load:.6g} is not below 1")
-        if not ess_sup(self.service) > ess_inf(self.arrival):
+        if not support(self.service)[1] > support(self.arrival)[0]:
             raise NoDelaysError("service never exceeds an inter-arrival time")
 
     @property
@@ -162,12 +160,8 @@ class DecayReport:
 
 
 def _usable_cap(d: DistributionSpec) -> float:
-    s_max = mgf_abscissa(d)
+    s_max = support(d)[2]
     return s_max if math.isinf(s_max) else s_max * _DOMAIN_MARGIN
-
-
-def _doublings():
-    return (2.0 ** k for k in range(_MAX_EXPAND))
 
 
 def _lundberg(s: float, arrival, service) -> float:
@@ -254,7 +248,7 @@ def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:
         return root, False
     if math.isinf(cap):
         raise NumericalFailure("no sign change within the expansion budget")
-    return mgf_abscissa(model.service), True
+    return support(model.service)[2], True
 
 
 def gamma_w(model: QueueModel) -> float:
@@ -281,7 +275,7 @@ def gamma_p_trunc(model: QueueModel, y: float) -> float:
     if not y > 0:
         raise ValueError("y must be positive")
     truncated = truncate_below(model.service, y)
-    if not ess_sup(truncated) > ess_inf(model.arrival):
+    if not support(truncated)[1] > support(model.arrival)[0]:
         return math.inf
     return _program(model.arrival, truncated, _usable_cap(truncated))[0]
 

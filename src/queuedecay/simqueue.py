@@ -37,7 +37,8 @@ from typing import Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import _count, _first_passage, _value, find_root, sample_array, stream
+from .dist import (_count, _doublings, _first_passage, _value, find_root,
+                   sample_array, stream)
 from .ratecalc import NumericalFailure, QueueModel
 
 
@@ -327,7 +328,7 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
     # the arrays go through args, not a closure (see find_root)
     args = (s * np.concatenate(services), np.concatenate(gaps))
     theta = find_root(_cycle_excess, args, 0.0, _value(0.0, _cycle_excess, *args),
-                      (2.0 ** k for k in range(1024)))
+                      _doublings())
     if theta is None:
         raise NumericalFailure("no finite root bracket for the cycle equation")
     return theta

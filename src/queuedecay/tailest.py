@@ -94,18 +94,20 @@ def fit_decay(samples, lo_quantile: float = 0.99, min_points: int = 500,
     bootstrap > 0 adds a percentile confidence interval from that many
     customer-level resamples.
     """
+    min_points = _count("min_points", min_points, 3)
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         x = x.ravel()
-    if x.size < 5000:
-        raise ValueError(f"need at least 5000 samples, got {x.size}")
+    # the window's order statistics exist from min_points + _DROP_TOP on
+    if x.size < min_points + _DROP_TOP:
+        raise ValueError(f"need at least {min_points + _DROP_TOP} samples, "
+                         f"got {x.size}")
     if np.any(x < 0):
         raise ValueError("samples must be nonnegative")
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
     if not 0.0 < lo_quantile < 1.0:
         raise ValueError("lo_quantile must lie in (0, 1)")
-    min_points = _count("min_points", min_points, 3)
     bootstrap = _count("bootstrap", bootstrap, 0)
     rate, se, window, pts = _ccdf_slope(x, lo_quantile, min_points)
     ci = None

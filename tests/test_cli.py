@@ -261,6 +261,24 @@ def test_simulate_bins_zero_picks_a_tenth_of_the_mean_service(capsys, model_file
     assert all(math.isfinite(r) for r in rates)
 
 
+def test_simulate_bins_fit_far_below_the_main_fits_sample_count(capsys, model_file):
+    # a bin's window (0.90 quantile, 50 points) exists from 60 samples on,
+    # so bins of a few hundred samples carry a fit and a comparison
+    code, out = _run(capsys, ["simulate", "--model", model_file(UNIFORM_ARRIVALS),
+                              "--discipline", "srpt-pr", "--customers", "20000",
+                              "--seed", "3", "--bins", "0"])
+    assert code == 0
+    bins = json.loads(out)["bins"]
+    assert all((b["fit"] is None) == (b["skipped"] is not None) for b in bins)
+    fitted = [b for b in bins if b["fit"] is not None]
+    assert len(fitted) >= 8 and all(b["count"] < 5000 for b in fitted)
+    compared = [b for b in fitted if b["analytic"] is not None]
+    assert compared
+    assert all(b["comparison"]["analytic"] == b["analytic"] for b in compared)
+    assert [b["skipped"] for b in bins if b["count"] < 60] == [
+        f"need at least 60 samples, got {b['count']}" for b in bins if b["count"] < 60]
+
+
 @pytest.mark.parametrize("width", ["1e-300", "inf"])
 def test_simulate_bins_too_narrow_or_endless_is_one_error_line(capsys, model_file,
                                                                width):

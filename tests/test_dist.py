@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +16,19 @@ from queuedecay.dist import (
     OutOfDomainError,
     OutOfRangeError,
     UniformInterval,
+    _LEAVES,
     _sampler,
-    ess_inf,
-    ess_sup,
     find_root,
     from_json,
     inverse_mgf_neg,
     masses,
     mgf,
-    mgf_abscissa,
     mgf_deriv,
     moments,
     sample_array,
     split_endpoint_atom,
     stream,
+    support,
     to_json,
     truncate_below,
 )
@@ -44,7 +45,7 @@ VARIANTS = [
 
 
 def _domain_points(d):
-    s_max = mgf_abscissa(d)
+    s_max = support(d)[2]
     hi = min(s_max, 3.0) if math.isfinite(s_max) else 3.0
     return np.linspace(-2.0, 0.95 * hi, 9)
 
@@ -88,11 +89,11 @@ def test_moments_match_mgf_derivative_at_zero(d):
 
 
 def test_mgf_domain_boundaries():
-    assert mgf_abscissa(Exponential(0.7)) == 0.7
-    assert math.isinf(mgf_abscissa(Deterministic(2.0)))
-    assert math.isinf(mgf_abscissa(ConditionedBelow(Exponential(1.0), 2.0)))
+    assert support(Exponential(0.7))[2] == 0.7
+    assert math.isinf(support(Deterministic(2.0))[2])
+    assert math.isinf(support(ConditionedBelow(Exponential(1.0), 2.0))[2])
     mix = FiniteMixture(((0.5, Exponential(1.0)), (0.5, Erlang(2, 3.0))))
-    assert mgf_abscissa(mix) == 1.0
+    assert support(mix)[2] == 1.0
     with pytest.raises(OutOfDomainError):
         mgf(Exponential(0.7), 0.7)
     with pytest.raises(OutOfDomainError):
@@ -120,16 +121,33 @@ def test_inverse_mgf_neg_edge_cases():
 
 
 def test_support_and_atoms():
-    assert ess_sup(Deterministic(2.0)) == 2.0
-    assert ess_inf(Deterministic(2.0)) == 2.0
+    assert support(Deterministic(2.0))[1] == 2.0
+    assert support(Deterministic(2.0))[0] == 2.0
     assert masses(Deterministic(2.0), 2.0)[1] == 1.0
-    assert math.isinf(ess_sup(Exponential(1.0)))
-    assert ess_inf(UniformInterval(0.5, 1.5)) == 0.5
+    assert math.isinf(support(Exponential(1.0))[1])
+    assert support(UniformInterval(0.5, 1.5))[0] == 0.5
     mix = FiniteMixture(((0.4, Deterministic(1.0)), (0.6, UniformInterval(0.0, 1.0))))
-    assert ess_sup(mix) == 1.0
+    assert support(mix)[1] == 1.0
     below, at, _ = masses(mix, 1.0)
     assert at == pytest.approx(0.4)
     assert below == pytest.approx(0.6)
+
+
+def test_support_of_a_nested_mixture():
+    inner = FiniteMixture(((0.5, UniformInterval(0.75, 3.0)),
+                           (0.5, Erlang(2, 2.5))))
+    outer = FiniteMixture(((0.2, Deterministic(0.5)), (0.3, inner),
+                           (0.5, ConditionedBelow(Exponential(1.5), 2.0))))
+    assert support(inner) == (0.0, math.inf, 2.5)
+    assert support(outer) == (0.0, math.inf, 2.5)
+    bounded = FiniteMixture(((0.6, FiniteMixture(((0.5, Deterministic(0.5)),
+                                                   (0.5, UniformInterval(0.75, 3.0))))),
+                             (0.4, Deterministic(4.0))))
+    # the min of the infs, the max of the sups and the min of the abscissas
+    assert support(bounded) == (0.5, 4.0, math.inf)
+    mixed = FiniteMixture(((0.5, bounded),
+                           (0.5, ConditionedBelow(Erlang(3, 0.25), 5.0))))
+    assert support(mixed) == (0.0, 5.0, math.inf)
 
 
 def _cdf(d, x):
@@ -160,7 +178,7 @@ def test_truncate_below_structure_and_mass():
     assert truncate_below(u, 2.0) == u
     # cutoff at or below the lower endpoint kills everything
     dead = truncate_below(Deterministic(1.0), 1.0)
-    assert ess_sup(dead) == 0.0 and masses(dead, 0.0)[1] == 1.0
+    assert support(dead)[1] == 0.0 and masses(dead, 0.0)[1] == 1.0
 
 
 def test_truncation_mean_monotone_in_cutoff():
@@ -338,6 +356,51 @@ def test_from_json_rejects_garbage():
         from_json({"type": "conditioned_below",
                    "base": {"type": "uniform", "lo": 0, "hi": 1},
                    "cutoff": 0.5})
+
+
+@pytest.mark.parametrize("obj, message", [
+    # a tag that cannot be a dict key still reads as an unknown tag
+    ({"type": [1], "rate": 1.0}, "unknown distribution type [1]"),
+    ({"type": None, "rate": 1.0}, "unknown distribution type None"),
+    ({"type": "erlang", "rate": 1.0},
+     "malformed 'erlang' distribution: KeyError('shape')"),
+    ({"type": "erlang", "shape": 2.5, "rate": 1.0},
+     "shape must be an integer, got 2.5"),
+    ({"type": "exponential", "rate": True}, "rate must be a finite number, got True"),
+    ({"type": "uniform", "lo": False, "hi": 1.0},
+     "lo must be a finite number, got False"),
+    ({"type": "uniform", "lo": 0.0}, "malformed 'uniform' distribution: KeyError('hi')"),
+    ({"type": "cauchy"}, "unknown distribution type 'cauchy'"),
+    ({"type": "conditioned_below", "base": {"type": "uniform", "lo": 0, "hi": 1},
+      "cutoff": 0.5}, "conditioned_below base must be exponential or erlang"),
+])
+def test_from_json_error_texts(obj, message):
+    with pytest.raises(ValueError) as info:
+        from_json(obj)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("d, keys", [
+    (Exponential(0.7), ["type", "rate"]),
+    (Deterministic(1.3), ["type", "value"]),
+    (UniformInterval(0.25, 2.0), ["type", "lo", "hi"]),
+    (Erlang(3, 2.0), ["type", "shape", "rate"]),
+    (ConditionedBelow(Erlang(2, 1.5), 1.0), ["type", "base", "cutoff"]),
+    (VARIANTS[4], ["type", "components"]),
+], ids=["exponential", "deterministic", "uniform", "erlang", "conditioned_below",
+        "mixture"])
+def test_to_json_key_order(d, keys):
+    assert list(to_json(d)) == keys
+
+
+def test_the_readme_tag_table_is_the_code_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("| tag | fields |")
+    table = text[start:text.index("\n\n", start)]
+    rows = [(tag, re.findall(r"`([A-Za-z_]\w*)`", fields))
+            for tag, fields in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)]
+    assert rows == [(tag, list(fields)) for tag, fields in _LEAVES.values()] + [
+        ("conditioned_below", ["base", "cutoff"]), ("mixture", ["components"])]
 
 
 def test_constructor_validation():

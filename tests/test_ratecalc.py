@@ -442,3 +442,19 @@ def test_y_star_tail_prob_at_tiny_load():
     crit = y_star(QueueModel(Exponential(1e-6), Exponential(1.0)))
     assert crit.tail_prob > 0.0
     assert crit.tail_prob == pytest.approx(math.exp(-crit.value), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("service", [Deterministic, lambda t: UniformInterval(0.0, 2.0 * t)],
+                         ids=["deterministic", "uniform"])
+def test_bounded_service_rates_past_two_to_the_199(service):
+    # rates near 1e61 lie past 2**199, where the bracket search used to give up
+    def rates(t):
+        model = QueueModel(Exponential(0.5 / t), service(t))
+        return gamma_w(model) * t, gamma_p(model) * t
+    gw, gp = rates(1e-61)
+    want_gw, want_gp = rates(1e-59)
+    assert gw == pytest.approx(want_gw, rel=1e-12, abs=0.0)
+    assert gp == pytest.approx(want_gp, rel=1e-12, abs=0.0)
+    if service is Deterministic:
+        assert gw == pytest.approx(1.25643120862617, rel=1e-12, abs=0.0)
+        assert gp == pytest.approx(0.193147180559945, rel=1e-12, abs=0.0)
