@@ -8,7 +8,8 @@ anywhere.  ``masses`` gives the mass below, at and above a point, which
 those transforms and the endpoint-atom dispatch read; ``support`` gives
 the essential infimum and supremum and the mgf abscissa, which bound
 every search.  Sampling is inverse transform driven by ``rng.random()``
-so streams are reproducible bit for bit from a seed.  Every draw, plain
+so streams are reproducible bit for bit from a seed; a run of substreams
+of one seed is seeded in batches, bitwise as one by one.  Every draw, plain
 or reweighted by exp(theta x), comes from one sampler per law, and every
 first-passage walk from one chunked loop.  One table gives each leaf
 law's JSON tag and fields, read and written.
@@ -373,6 +374,11 @@ def _mgf_gap(u: float, d, v: float) -> float:
     return v - _mgf(d, -u)
 
 
+@_per_spec
+def _atom_at_zero(d: DistributionSpec) -> float:
+    return masses(d, 0.0)[1]
+
+
 def inverse_mgf_neg(d: DistributionSpec, v: float) -> float:
     """The unique u >= 0 with mgf(d, -u) = v.
 
@@ -382,7 +388,7 @@ def inverse_mgf_neg(d: DistributionSpec, v: float) -> float:
     """
     if v > 1.0:
         raise OutOfRangeError(f"v={v} exceeds mgf(d, 0) = 1")
-    floor = masses(d, 0.0)[1]
+    floor = _atom_at_zero(d)
     if v <= floor:
         raise OutOfRangeError(f"v={v} at or below inf mgf(d, -u) = {floor}")
     if v == 1.0:
@@ -446,6 +452,40 @@ def stream(seed: int, index: int) -> np.random.Generator:
     """Named substream: generator index of the family rooted at seed."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+# SeedSequence's hash constants and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT, _M128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
+_KEYS = 4096    # spawn keys hashed at a time
+
+
+def _stream_run(seed: int, count: int):
+    """``stream(seed, i)`` for i < count < 2**32, bitwise, as one generator
+    whose PCG64 state is reset for each i, so read each before the next.
+    SeedSequence's algorithm (stable under NEP 19) mixes each key last into
+    the seed's pool, after 4 hashes per seed word (at least 16), in uint32
+    batches; PCG64's two seeding steps run on Python ints."""
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    calls = 4 * max(4, -(-int(seed).bit_length() // 32))
+    hk = [_INIT_A * pow(_MULT_A, calls + i, 1 << 32) & _M32 for i in range(5)]
+    hb = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)]
+    rng = np.random.Generator(np.random.PCG64())
+    for lo in range(0, count, _KEYS):
+        key = np.arange(lo, min(count, lo + _KEYS), dtype=np.uint32)
+        with np.errstate(over="ignore"):
+            h = [(key ^ hk[j]) * hk[j + 1] for j in range(4)]
+            m = [(_MIX_L * p & _M32) - _MIX_R * (x ^ x >> 16) for p, x in zip(pool, h)]
+            w = [(m[i % 4] ^ m[i % 4] >> 16 ^ hb[i]) * hb[i + 1] for i in range(8)]
+        w = [(x ^ x >> 16).astype(np.uint64) for x in w]
+        for s_hi, s_lo, i_hi, i_lo in zip(*[(w[j] | w[j + 1] << 32).tolist()
+                                            for j in (0, 2, 4, 6)]):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+            rng.bit_generator.state = dict(bit_generator="PCG64", has_uint32=0,
+                                           uinteger=0, state=dict(state=state, inc=inc))
+            yield rng
 
 
 _BLOCK = 1 << 20    # uniforms per draw of an Erlang sample

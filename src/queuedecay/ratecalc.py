@@ -182,10 +182,10 @@ def _psi_slope(arrival, service, s: float, u: float) -> float:
 
 def _slope_excess(s: float, arrival, service) -> float:
     # psi'(s) - 1, rising through zero at the argmax of s - psi(s); +inf
-    # where psi is not defined
+    # where psi is not defined or the arrival's mgf slope underflows to 0
     try:
         return _psi_slope(arrival, service, s, psi(arrival, service, s)) - 1.0
-    except (OutOfDomainError, OutOfRangeError, OverflowError):
+    except (OutOfDomainError, OutOfRangeError, OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -398,10 +398,10 @@ def y_star(model: QueueModel) -> CriticalTruncation:
 
 
 def heavy_traffic(model: QueueModel) -> HeavyTrafficApprox:
-    """First-order rates near saturation: K = 2 / (var A + var B),
-    gamma_w ~ K (1 - rho), and with a split
-    gamma_w2 ~ K (1 - rho1) (1 - rho) where rho1 is the class-1 load."""
-    var_a = moments(model.arrival)[1]
+    """First-order rates near saturation: K = 2 / (var A + var B), Kingman's
+    gamma_w ~ K E[A] (1 - rho) and, with a split, gamma_w2 ~ K E[A] (1 - rho1)
+    (1 - rho), where rho1 is the class-1 load."""
+    mean_a, var_a = moments(model.arrival)
     var_b = moments(model.service)[1]
     total = var_a + var_b
     k = 2.0 / total if total > 0 else math.inf
@@ -409,8 +409,8 @@ def heavy_traffic(model: QueueModel) -> HeavyTrafficApprox:
     gw2 = None
     if model.split is not None:
         rho1 = model.split.p * moments(model.split.class1)[0] * model.arrival_rate
-        gw2 = k * (1.0 - rho1) * (1.0 - rho)
-    return HeavyTrafficApprox(k, k * (1.0 - rho), gw2)
+        gw2 = k * (1.0 - rho1) * (1.0 - rho) * mean_a
+    return HeavyTrafficApprox(k, k * (1.0 - rho) * mean_a, gw2)
 
 
 def decay_report(model: QueueModel) -> DecayReport:

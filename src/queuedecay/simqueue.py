@@ -16,7 +16,8 @@ discipline-independent by construction.  A run splits into a stream
 stage, memoised on (model, n, seed) so that coupled runs share it, and
 one event loop for all six disciplines, each of which is an order on the
 waiting jobs plus a preemption rule; FIFO is the arrival-index order,
-never preempting.
+never preempting.  ``cycle_psi`` solves its cycle equation with SciPy's
+log-sum-exp spelled out in NumPy, bitwise the same without its wrapper.
 
 The recursion and the event loop run compiled from ``_kernels.c`` when
 a C compiler works here (built on first use into a per-user cache), and
@@ -35,10 +36,9 @@ from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .dist import (_count, _doublings, _first_passage, _value, find_root,
-                   sample_array, stream)
+from .dist import (_count, _doublings, _first_passage, _stream_run, _value,
+                   find_root, sample_array, stream)
 from .ratecalc import NumericalFailure, QueueModel
 
 
@@ -335,21 +335,35 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
 
 
 def _cycle_excess(theta: float, sb: np.ndarray, a: np.ndarray) -> float:
-    # log n - log sum_i exp(s B_i - theta A_i): rises through zero at the root
-    return math.log(len(a)) - float(logsumexp(sb - theta * a))
+    # log n - log sum_i exp(s B_i - theta A_i): rises through zero at the
+    # root.  SciPy 1.17's log-sum-exp without its array-API wrapper: the
+    # maximal terms apart, and the plain log of the sum if not finite.
+    v = sb - theta * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = v.max(keepdims=True)
+        at_top = v == top
+        e = np.exp(v - top)
+        e[at_top] = 0.0
+        m = at_top.sum(keepdims=True, dtype=np.float64)
+        s = e.sum(keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = float((np.log1p(s) + np.log(m) + top)[0])
+        if not math.isfinite(out):
+            out = float(np.log(np.exp(v).sum()))
+    return math.log(len(a)) - out
 
 
 def _paths(model, horizon, replications, seed):
     # each replication's stream with its inter-arrival gaps through the
     # first arrival after the horizon, drawn lazily and in fixed chunks so
     # the draw sequence is a function of the replication stream alone; the
-    # caller draws its services on from the same stream
+    # caller draws its services on from it before it takes the next one
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     replications = _count("replications", replications, 1)
     draw = functools.partial(sample_array, model.arrival)
-    rngs = (stream(seed, rep) for rep in range(replications))
-    return ((rng, _first_passage(draw, rng, horizon, 1024)[0]) for rng in rngs)
+    return ((rng, _first_passage(draw, rng, horizon, 1024)[0])
+            for rng in _stream_run(seed, replications))
 
 
 def service_bins(out: SimOutput, width: float):

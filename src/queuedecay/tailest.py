@@ -3,7 +3,9 @@
 ``fit_decay`` returns minus the least-squares slope of the log empirical
 ccdf between the 0.99 sample quantile and the tenth-largest sample.  It
 partitions the samples at the lower window end and sorts and counts only
-the top 1 - lo_quantile share, which holds every sample the fit reads.
+the top 1 - lo_quantile share, which holds every sample the fit reads;
+a bootstrap resample passes on only its picks above a threshold that
+holds that share, bar a rare fallback to the whole resample.
 ``is_workload_tail`` estimates P(W > x) by importance sampling: the
 increment walk is tilted at gamma_w, where psi(gamma_w) = gamma_w and
 psi' > 1, so it drifts upward and first passage is certain.  The tilted
@@ -28,7 +30,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dist import OutOfDomainError, _count, _first_passage, _sampler, stream
+from .dist import (OutOfDomainError, _count, _first_passage, _sampler,
+                   _stream_run, stream)
 from .ratecalc import QueueModel, _psi_slope, gamma_w_detail
 
 
@@ -59,14 +62,20 @@ class TailFit:
 _DROP_TOP = 10
 
 
-def _ccdf_slope(x: np.ndarray, lo_quantile: float, min_points: int):
-    # Only the samples at or above the lo_quantile order statistic enter
-    # the fit, and every sample above such a value lies among them, so
-    # sorting that top share alone gives the full sort's counts.
-    n = x.size
-    i_lo, i_hi = int(np.ceil(lo_quantile * n)) - 1, n - _DROP_TOP
+def _window_ends(n: int, lo_quantile: float) -> Tuple[int, int]:
+    # order-statistic indices of the window's ends among n samples
+    return int(np.ceil(lo_quantile * n)) - 1, n - _DROP_TOP
+
+
+def _ccdf_slope(v: np.ndarray, n: int, lo_quantile: float, min_points: int):
+    # Only the n - k samples at or above the k-th order statistic, the
+    # lower window end, enter the fit, and every sample above such a value
+    # lies among them, so sorting that top share alone gives the full
+    # sort's counts.  v is any part of the n samples that holds that share.
+    i_lo, i_hi = _window_ends(n, lo_quantile)
     k = min(i_lo, i_hi)
-    top = np.sort(np.partition(x, k)[k:])
+    j = v.size - (n - k)
+    top = np.sort(np.partition(v, j)[j:])
     x_lo, x_hi = top[i_lo - k], top[i_hi - k]
     vals, counts = np.unique(top, return_counts=True)
     tail = top.size - np.cumsum(counts)   # count strictly greater than vals[i]
@@ -109,15 +118,24 @@ def fit_decay(samples, lo_quantile: float = 0.99, min_points: int = 500,
     if not 0.0 < lo_quantile < 1.0:
         raise ValueError("lo_quantile must lie in (0, 1)")
     bootstrap = _count("bootstrap", bootstrap, 0)
-    rate, se, window, pts = _ccdf_slope(x, lo_quantile, min_points)
+    n = x.size
+    rate, se, window, pts = _ccdf_slope(x, n, lo_quantile, min_points)
     ci = None
     if bootstrap > 0:
+        # a resample's top share, the need values its fit reads, is its picks
+        # of at least the (n - 2 need)-th order statistic if need or more
+        need = n - min(_window_ends(n, lo_quantile))
+        cut = n - 2 * need
+        keep = x >= np.partition(x, cut)[cut] if cut > 0 else None
         rng = stream(seed, 0)
         rates: List[float] = []
         for _ in range(bootstrap):
-            pick = rng.integers(0, x.size, x.size)
+            pick = rng.integers(0, n, n)
+            if keep is not None:
+                high = pick[keep[pick]]
+                pick = high if high.size >= need else pick
             try:
-                r, _, _, _ = _ccdf_slope(x[pick], lo_quantile, min_points)
+                r, _, _, _ = _ccdf_slope(x[pick], n, lo_quantile, min_points)
             except DegenerateTailError:
                 continue
             rates.append(r)
@@ -225,8 +243,8 @@ def is_workload_tail(model: QueueModel, x: float, replications: int,
         return measure.service.draw(rng, n) - measure.arrival.draw(rng, n)
 
     estimates = np.empty(replications, dtype=np.float64)
-    for rep in range(replications):
-        estimates[rep] = math.exp(-nu * _first_passage(step, stream(seed, rep), x, 64)[1])
+    for rep, rng in enumerate(_stream_run(seed, replications)):
+        estimates[rep] = math.exp(-nu * _first_passage(step, rng, x, 64)[1])
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1)) / math.sqrt(replications)
     return mean, se / mean

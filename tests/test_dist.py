@@ -16,8 +16,10 @@ from queuedecay.dist import (
     OutOfDomainError,
     OutOfRangeError,
     UniformInterval,
+    _KEYS,
     _LEAVES,
     _sampler,
+    _stream_run,
     find_root,
     from_json,
     inverse_mgf_neg,
@@ -316,6 +318,26 @@ def test_stream_reproducible_and_indexed():
     c = stream(42, 1).random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _first_draws(rng):
+    # 64-bit doubles, an odd count of 32-bit floats (which leaves half a word
+    # buffered in the bit generator), then bounded integers
+    return (rng.random(3).tobytes() + rng.random(3, dtype=np.float32).tobytes()
+            + rng.integers(0, 10**9, 2).tobytes())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**40, 2**130 + 5])
+def test_stream_run_is_the_named_streams(seed):
+    # index 0, neighbours, and both sides of the first batch boundary
+    read = {0, 1, 2, _KEYS - 1, _KEYS, _KEYS + 1}
+    count = 0
+    for i, rng in enumerate(_stream_run(seed, _KEYS + 2)):
+        if i in read:
+            assert _first_draws(rng) == _first_draws(stream(seed, i)), i
+        count += 1
+    assert count == _KEYS + 2
+    assert list(_stream_run(seed, 0)) == []
 
 
 @pytest.mark.parametrize("d", VARIANTS, ids=lambda d: type(d).__name__)

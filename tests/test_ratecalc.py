@@ -458,3 +458,23 @@ def test_bounded_service_rates_past_two_to_the_199(service):
     if service is Deterministic:
         assert gw == pytest.approx(1.25643120862617, rel=1e-12, abs=0.0)
         assert gp == pytest.approx(0.193147180559945, rel=1e-12, abs=0.0)
+
+
+def test_slope_excess_underflow_in_a_large_time_unit():
+    # at time unit 256, mgf_deriv(arrival, -u) underflows to 0 at u = 1 in
+    # the psi' bracket search, which must read it as +inf, not fail
+    def model(c):
+        return QueueModel(Erlang(4, 4 / c), split=Split(
+            0.7576266669404392, Deterministic(0.48347602229884035 * c),
+            Deterministic(2.385995574634436 * c)))
+    big, unit = decay_report(model(256.0)), decay_report(model(1.0))
+    for name in ("gamma_w", "gamma_p", "gamma_v", "gamma_w2"):
+        assert getattr(big, name) * 256.0 == pytest.approx(
+            getattr(unit, name), rel=1e-13, abs=0.0), name
+
+
+def test_heavy_traffic_ratio_is_free_of_the_time_unit():
+    def ratio(t):
+        model = QueueModel(Exponential(0.95 / t), Exponential(1.0 / t))
+        return gamma_w(model) / heavy_traffic(model).gamma_w_approx
+    assert ratio(10.0) == pytest.approx(ratio(1.0), rel=1e-12, abs=0.0)

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from queuedecay.dist import (
     Deterministic,
@@ -18,7 +19,7 @@ from queuedecay.dist import (
     sample_array,
     stream,
 )
-from queuedecay import _kernels
+from queuedecay import _kernels, simqueue
 from queuedecay.ratecalc import NumericalFailure, QueueModel, Split, psi
 from queuedecay.simqueue import (
     Discipline,
@@ -490,6 +491,34 @@ def test_psi_estimators_reject_an_endless_horizon(estimator):
                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0
     assert done.stdout == "horizon must be positive and finite\n"
+
+
+def _cycle_excess_at_zero(v):
+    # sb - 0 * a is sb bitwise, so this is log n less the lean log-sum-exp
+    # of v; +inf where every term is -inf
+    return simqueue._cycle_excess(0.0, v, np.ones_like(v))
+
+
+def _scipy_excess(v):
+    return math.log(v.size) - float(logsumexp(v))
+
+
+@pytest.mark.parametrize("v", [
+    [3.0], [2.5] * 7, [1.0, 5.0, 5.0, -2.0, 5.0], [-np.inf, 1.0, -np.inf],
+    [-np.inf] * 4, [700.0, 699.5, 705.0], [-700.0, -705.0, -745.0],
+    [709.7, 709.78, 1.0], [-750.0, -760.0]],
+    ids=["one", "all-equal", "three-maxima", "minus-inf", "all-minus-inf",
+         "near-700", "near-minus-700", "near-overflow", "past-underflow"])
+def test_cycle_logsumexp_is_scipys_bitwise(v):
+    assert _cycle_excess_at_zero(np.array(v)) == _scipy_excess(np.array(v))
+
+
+def test_cycle_logsumexp_is_scipys_on_random_vectors():
+    rng = stream(41, 0)
+    for _ in range(300):
+        v = rng.normal(rng.normal(0.0, 300.0), rng.uniform(0.01, 100.0),
+                       int(rng.integers(1, 3000)))
+        assert _cycle_excess_at_zero(v) == _scipy_excess(v)
 
 
 def test_cycle_psi_zero_is_exact():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -83,6 +84,47 @@ def test_bootstrap_ci_covers_truth():
     assert lo < fit.rate < hi
     again = fit_decay(_exp_samples(100_000, 2.0, seed=7), bootstrap=60, seed=1)
     assert again.bootstrap_ci == fit.bootstrap_ci
+
+
+def _plain_bootstrap(x, lo_quantile, min_points, bootstrap, seed):
+    # the reference: every resample read whole.  Also counts the resamples
+    # with fewer than `need` picks at or above the (n - 2 need)-th order
+    # statistic, and those whose fit is degenerate
+    n = x.size
+    need = n - min(tailest._window_ends(n, lo_quantile))
+    cut = n - 2 * need
+    rng = stream(seed, 0)
+    rates, few, skipped = [], 0, 0
+    for _ in range(bootstrap):
+        pick = rng.integers(0, n, n)
+        if cut > 0:
+            few += int((x[pick] >= np.partition(x, cut)[cut]).sum() < need)
+        try:
+            rates.append(tailest._ccdf_slope(x[pick], n, lo_quantile, min_points)[0])
+        except DegenerateTailError:
+            skipped += 1
+    lo, hi = np.percentile(rates, [2.5, 97.5])
+    return (float(lo), float(hi)), cut, few, skipped
+
+
+@pytest.mark.parametrize("case", ["filtered", "no-threshold", "few-high-picks"])
+def test_bootstrap_reads_the_top_share_bitwise(case):
+    if case == "filtered":
+        x, q, points, draws, seed = _exp_samples(60_000, 1.0, 31), 0.99, 100, 20, 31
+    elif case == "no-threshold":
+        x, q, points, draws, seed = _exp_samples(2_000, 1.0, 32), 0.5, 100, 25, 32
+    else:
+        x, q, points, draws, seed = _exp_samples(200, 1.0, 2), 0.935, 3, 2000, 2
+    ci, cut, few, skipped = _plain_bootstrap(x, q, points, draws, seed)
+    if case == "filtered":
+        assert cut > 0 and few == 0
+    elif case == "no-threshold":
+        assert cut <= 0
+    else:
+        assert cut > 0 and few >= 1 and skipped >= 1
+    plain = fit_decay(x, lo_quantile=q, min_points=points)
+    fit = fit_decay(x, lo_quantile=q, min_points=points, bootstrap=draws, seed=seed)
+    assert fit == dataclasses.replace(plain, bootstrap_ci=ci)
 
 
 def test_tailfit_json_shape():
