@@ -12,7 +12,9 @@ so streams are reproducible bit for bit from a seed; a run of substreams
 of one seed is seeded in batches, bitwise as one by one.  Every draw, plain
 or reweighted by exp(theta x), comes from one sampler per law, and every
 first-passage walk from one chunked loop.  One table gives each leaf
-law's JSON tag and fields, read and written.
+law's JSON tag and fields, read and written.  Every root is found by
+``find_root``: Brent's method, a bitwise port of SciPy's ``brentq`` run on
+the bracket ends the search already holds.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammaincinv
 
 
@@ -310,6 +311,9 @@ def masses(d: DistributionSpec, x: float) -> Tuple[float, float, float]:
     return below, 0.0, float(gammaincc(k, rate * x))
 
 
+_RTOL = 4 * sys.float_info.epsilon
+
+
 def _value(x: float, f, *args) -> float:
     try:
         fx = f(x, *args)
@@ -321,21 +325,17 @@ def _value(x: float, f, *args) -> float:
     return fx
 
 
-def _bracket_value(x: float, ends: dict, f, *args) -> float:
-    # brentq opens by evaluating both ends, which the bracket search holds
-    return ends.pop(x) if x in ends else _value(x, f, *args)
-
-
 def find_root(f, args: tuple, lo: float, f_lo: float, points) -> Optional[float]:
     """The root of ``f(x, *args)``, which is ``f_lo`` <= 0 at ``lo`` and rises
     through zero once to its right; the first of the increasing ``points``
     where f > 0 closes the bracket, and None means there is none.
 
     An infinite end (a domain edge, an overflow) moves inward by bisection,
-    then Brent's method (Brent 1973) solves to 4 machine epsilons relative.
-    f is module-level: brentq's wrapper refers to itself, so a closure
-    would live on until the cyclic collector runs.  A NaN, an overflow f
-    lets escape, or no convergence raises NumericalFailure."""
+    then Brent's method (Brent 1973) solves to 4 machine epsilons relative
+    from the two ends held, step for step as SciPy 1.17's ``brentq``
+    (``brentq.c``), so a root keeps brentq's bits without its evaluations
+    of the ends.  A NaN, an overflow f lets escape, or no convergence in
+    100 iterations raises NumericalFailure."""
     if math.isnan(f_lo):
         raise NumericalFailure(f"{f.__name__} is NaN at {lo!r}")
     for x in points:
@@ -355,14 +355,46 @@ def find_root(f, args: tuple, lo: float, f_lo: float, points) -> Optional[float]
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    try:
-        # rtol: the smallest brentq accepts; xtol: no absolute floor
-        return brentq(_bracket_value, lo, hi, args=({lo: f_lo, hi: f_hi}, f) + args,
-                      xtol=5e-324, rtol=4.0 * np.finfo(float).eps)
-    except NumericalFailure:
-        raise
-    except RuntimeError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    if f_lo == 0:
+        return lo
+    # brentq.c's names: xcur is the best point, xblk the far end of the
+    # bracket, xpre the previous point.  f is never NaN, and fpre never 0;
+    # a zero fcur returns before the block is read, so brentq's test of
+    # signbit on two nonzero values is (f < 0)
+    xpre, fpre, xcur, fcur = lo, f_lo, hi, f_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # xtol = 5e-324, no absolute floor; rtol = 4 eps, the least brentq takes
+        delta = (5e-324 + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf     # a bisection, unless a short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass                # C's inf or NaN, which bisects
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(xcur, f, *args)
+    raise NumericalFailure("Failed to converge after 100 iterations.")
 
 
 def _doublings():

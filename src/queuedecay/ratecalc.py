@@ -180,26 +180,33 @@ def _psi_slope(arrival, service, s: float, u: float) -> float:
     return (mgf_deriv(service, s) / phi_b) / (mgf_deriv(arrival, -u) * phi_b)
 
 
-def _slope_excess(s: float, arrival, service) -> float:
+def _slope_excess(s: float, arrival, service, psis: dict) -> float:
     # psi'(s) - 1, rising through zero at the argmax of s - psi(s); +inf
-    # where psi is not defined or the arrival's mgf slope underflows to 0
+    # where psi is not defined or the arrival's mgf slope underflows to 0.
+    # Each psi(s) solved is kept in psis
     try:
-        return _psi_slope(arrival, service, s, psi(arrival, service, s)) - 1.0
+        if s not in psis:
+            psis[s] = psi(arrival, service, s)
+        return _psi_slope(arrival, service, s, psis[s]) - 1.0
     except (OutOfDomainError, OutOfRangeError, OverflowError, ZeroDivisionError):
         return math.inf
 
 
-def _program(arrival, service, end: float) -> Tuple[float, float]:
+def _program(arrival, service, end: float, psis: dict) -> Tuple[float, float]:
     # (max, argmax) of the concave s - psi(s) on [0, end]: the root of
-    # psi'(s) = 1, or end when psi' < 1 all the way there
+    # psi'(s) = 1, or end when psi' < 1 all the way there.  psis holds the
+    # psi(s) already solved; the search returns a point it evaluated, so
+    # psi(s_opt) is read back, not solved again
+    args = (arrival, service, psis)
     points = _doublings() if math.isinf(end) else (end,)
-    s_opt = find_root(_slope_excess, (arrival, service), 0.0,
-                      _value(0.0, _slope_excess, arrival, service), points)
+    s_opt = find_root(_slope_excess, args, 0.0, _value(0.0, _slope_excess, *args),
+                      points)
     if s_opt is None:
         if math.isinf(end):
             raise NumericalFailure("no concave turnover within the expansion budget")
         s_opt = end
-    return s_opt - psi(arrival, service, s_opt), s_opt
+    u = psis[s_opt] if s_opt in psis else psi(arrival, service, s_opt)
+    return s_opt - u, s_opt
 
 
 def psi(arrival: DistributionSpec, service: DistributionSpec, s: float) -> float:
@@ -258,7 +265,7 @@ def gamma_w(model: QueueModel) -> float:
 
 def gamma_p_detail(model: QueueModel) -> Tuple[float, float]:
     """(gamma_p, argmax) of the concave program sup_{s>=0} {s - psi(s)}."""
-    return _program(model.arrival, model.service, _usable_cap(model.service))
+    return _program(model.arrival, model.service, _usable_cap(model.service), {})
 
 
 def gamma_p(model: QueueModel) -> float:
@@ -277,7 +284,7 @@ def gamma_p_trunc(model: QueueModel, y: float) -> float:
     truncated = truncate_below(model.service, y)
     if not support(truncated)[1] > support(model.arrival)[0]:
         return math.inf
-    return _program(model.arrival, truncated, _usable_cap(truncated))[0]
+    return _program(model.arrival, truncated, _usable_cap(truncated), {})[0]
 
 
 def gamma_w2(model: QueueModel) -> PriorityDecay:
@@ -300,12 +307,13 @@ def _gamma_w2(arrival: DistributionSpec, p: float, class1: DistributionSpec,
               gw: float) -> PriorityDecay:
     service1 = _class1_service(p, class1)
     cap1 = _usable_cap(service1)
+    psis = {}
     if gw < cap1:
-        u_gw = psi(arrival, service1, gw)
+        u_gw = psis[gw] = psi(arrival, service1, gw)
         slope = _psi_slope(arrival, service1, gw, u_gw)
         if slope < 1.0:
             return PriorityDecay(gw - u_gw, "boundary", gw, 1.0 - slope)
-    rate, s_opt = _program(arrival, service1, min(gw, cap1))
+    rate, s_opt = _program(arrival, service1, min(gw, cap1), psis)
     return PriorityDecay(rate, "interior", s_opt, 0.0)
 
 

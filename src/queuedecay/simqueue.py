@@ -325,7 +325,6 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
     for rng, g in paths:
         gaps.append(g)
         services.append(sample_array(model.service, rng, len(g)))
-    # the arrays go through args, not a closure (see find_root)
     args = (s * np.concatenate(services), np.concatenate(gaps))
     theta = find_root(_cycle_excess, args, 0.0, _value(0.0, _cycle_excess, *args),
                       _doublings())

@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from queuedecay.dist import (
     ConditionedBelow,
@@ -18,6 +20,8 @@ from queuedecay.dist import (
     UniformInterval,
     _KEYS,
     _LEAVES,
+    _doublings,
+    _mgf_gap,
     _sampler,
     _stream_run,
     find_root,
@@ -34,6 +38,7 @@ from queuedecay.dist import (
     to_json,
     truncate_below,
 )
+from queuedecay.ratecalc import QueueModel, Split, _lundberg, _slope_excess
 
 VARIANTS = [
     Exponential(0.7),
@@ -535,6 +540,116 @@ def _finite_on_middle(x):
     if x <= 0.5:
         return -math.inf
     return x - 1.5 if x < 3.0 else math.inf
+
+
+def _recorded(f, seen):
+    def recorded(x, *args):
+        seen.append(x)
+        return f(x, *args)
+    recorded.__name__ = f.__name__
+    return recorded
+
+
+def _held_bracket(f, args, lo, f_lo, points):
+    # the bracket find_root hands to Brent's method: the first point where
+    # f > 0, then the bisection in from an infinite end
+    for x in points:
+        f_x = f(x, *args)
+        if f_x > 0:
+            hi, f_hi = x, f_x
+            break
+        lo, f_lo = x, f_x
+    while math.isinf(f_lo) or math.isinf(f_hi):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid, *args)
+        if f_mid > 0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return lo, hi
+
+
+def _assert_brentq_parity(f, args, lo, f_lo, points):
+    # find_root against scipy's brentq on the same bracket: equal bits, and
+    # brentq's evaluations after its two ends are find_root's after the
+    # bracket search
+    ours, theirs, held, points = [], [], [], list(points)
+    root = find_root(_recorded(f, ours), args, lo, f_lo, points)
+    a, b = _held_bracket(_recorded(f, held), args, lo, f_lo, points)
+    want = brentq(_recorded(f, theirs), a, b, args=args, xtol=5e-324,
+                  rtol=4 * sys.float_info.epsilon)
+    assert root.hex() == want.hex()
+    assert ours == held + theirs[2:]
+    return root
+
+
+PARITY_MODELS = {
+    "mm1": QueueModel(Exponential(0.5), Exponential(1.0)),
+    "conditioned-erlang": QueueModel(Erlang(2, 1.2),
+                                     ConditionedBelow(Erlang(3, 2.0), 1.8)),
+    "split": QueueModel(UniformInterval(0.2, 1.8), split=Split(
+        0.35, Erlang(2, 5.0), FiniteMixture(((0.5, Deterministic(0.9)),
+                                             (0.5, Exponential(1.2)))))),
+    "atom": QueueModel(Exponential(1.0), FiniteMixture(
+        ((0.5, UniformInterval(0.0, 0.5)), (0.5, Deterministic(1.0))))),
+}
+
+
+@pytest.mark.parametrize("name", PARITY_MODELS)
+def test_find_root_is_brentq_on_the_model_maps(name):
+    model = PARITY_MODELS[name]
+    pair = (model.arrival, model.service)
+    _assert_brentq_parity(_lundberg, pair, 2.0 ** -10, _lundberg(2.0 ** -10, *pair),
+                          _doublings())
+    args = pair + ({},)
+    s_opt = _assert_brentq_parity(_slope_excess, args, 0.0, _slope_excess(0.0, *args),
+                                  _doublings())
+    for v in (0.999, 0.5, 1.0 / mgf(model.service, s_opt)):
+        _assert_brentq_parity(_mgf_gap, (model.arrival, v), 0.0, v - 1.0, _doublings())
+
+
+def _steep(x):
+    return math.expm1(40.0 * x) - 3.0
+
+
+def _flat(x):
+    # slopes near 1e-200, whose products underflow to 0 in the extrapolation
+    return 1e-200 * (x - 0.3) ** 3 + 1e-210 * (x - 0.3)
+
+
+def _linear(x):
+    return x - 0.5
+
+
+def _log_plus_one(x):
+    return math.log(x) + 1.0 if x > 0 else -math.inf
+
+
+@pytest.mark.parametrize("f,lo,f_lo,points", [
+    (_steep, 0.0, -3.0, (0.5, 1.0)),
+    (_flat, 0.0, _flat(0.0), (1.0, 2.0)),
+    (_linear, 0.0, -0.5, (1.0,)),             # the first step meets the root
+    (_linear, 0.5, 0.0, (1.0, 2.0)),          # f_lo == 0: lo is the root
+    (_log_plus_one, 0.0, -math.inf, (4.0,)),  # bisection in from -inf
+], ids=["steep", "flat", "exact-root", "zero-left-end", "from-minus-inf"])
+def test_find_root_is_brentq_on_shaped_maps(f, lo, f_lo, points):
+    _assert_brentq_parity(f, (), lo, f_lo, points)
+
+
+def _step(x):
+    return -1.0 if x < 0.0 else 1.0
+
+
+def test_find_root_fails_as_brentq_does_after_100_iterations():
+    ours, theirs = [], []
+    with pytest.raises(RuntimeError) as failed:
+        brentq(_recorded(_step, theirs), -1.0, 1.0, xtol=5e-324,
+               rtol=4 * sys.float_info.epsilon)
+    with pytest.raises(NumericalFailure) as failure:
+        find_root(_recorded(_step, ours), (), -1.0, -1.0, (1.0,))
+    assert str(failed.value) == "Failed to converge after 100 iterations."
+    assert str(failure.value) == str(failed.value)
+    assert ours == theirs[1:] and len(ours) == 101
 
 
 def test_inverse_mgf_neg_is_exact_to_rounding():

@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, the package root
 exports exactly the names the README and the benchmark use, and every
-name the README's Library paragraph lists exists where it says.
+name the README's Library paragraph lists exists where it says.  Importing
+the CLI leaves ``scipy.optimize`` unloaded.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's exports.
@@ -8,7 +9,10 @@ package's exports.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,14 @@ def test_every_name_the_readme_lists_per_module_exists():
         missing += [f"queuedecay.{module}.{name}" for name in _names(names)
                     if not hasattr(found, name)]
     assert missing == []
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # every root is solved by dist.find_root, so no module needs scipy.optimize,
+    # whose import would be paid by every command
+    code = "import sys, queuedecay.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

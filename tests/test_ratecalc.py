@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -478,3 +479,78 @@ def test_heavy_traffic_ratio_is_free_of_the_time_unit():
         model = QueueModel(Exponential(0.95 / t), Exponential(1.0 / t))
         return gamma_w(model) / heavy_traffic(model).gamma_w_approx
     assert ratio(10.0) == pytest.approx(ratio(1.0), rel=1e-12, abs=0.0)
+
+
+def _pinned_law(rng, mean, nested=True):
+    # one of the six variants, of about the given mean
+    kind = int(rng.integers(6 if nested else 5))
+    if kind == 0:
+        return Exponential(1.0 / mean)
+    if kind == 1:
+        return Deterministic(mean)
+    if kind == 2:
+        lo = mean * rng.uniform(0.0, 0.9)
+        return UniformInterval(lo, 2.0 * mean - lo)
+    k = int(rng.integers(1, 5))
+    if kind == 3:
+        return Erlang(k, k / mean)
+    if kind == 4:
+        return ConditionedBelow(Erlang(k, k / mean), mean * rng.uniform(0.8, 3.0))
+    w = rng.uniform(0.1, 0.9)
+    return FiniteMixture(((w, _pinned_law(rng, mean * rng.uniform(0.3, 1.0), False)),
+                          (1.0 - w, _pinned_law(rng, mean * rng.uniform(1.0, 2.0), False))))
+
+
+def _pinned_models(seed, count):
+    # GI/GI models over the algebra, endpoint atoms and two-class splits in
+    # turn; unstable or never-queueing draws are skipped
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        arrival = _pinned_law(rng, 1.0)
+        rho = rng.uniform(0.2, 0.95)
+        kind = len(out) % 3
+        try:
+            if kind == 0:
+                out.append(QueueModel(arrival, _pinned_law(rng, rho)))
+            elif kind == 1:
+                q, top = rng.uniform(0.05, 0.95), rng.uniform(1.0, 3.0)
+                body = _pinned_law(rng, rho, False)
+                if not dist.support(body)[1] < top * rho:
+                    body = UniformInterval(0.0, rho)
+                out.append(QueueModel(arrival, FiniteMixture(
+                    ((1.0 - q, body), (q, Deterministic(top * rho))))))
+            else:
+                out.append(QueueModel(arrival, split=Split(
+                    rng.uniform(0.15, 0.85), _pinned_law(rng, rho * rng.uniform(0.2, 1.0)),
+                    _pinned_law(rng, rho * rng.uniform(0.5, 2.0)))))
+        except (NoDelaysError, UnstableError, ValueError):
+            pass
+    return out
+
+
+# sha256 over the reprs of decay_report on 99 seeded models, y_star on three
+# and gamma_p_trunc at four cutoffs of those three; pins every analytic
+# search bit for bit
+PINNED_ANALYTIC = "907c2e17fb365b2c4eec9a11ed2f28dd29379d3170bbd88ef825b94da779ac13"
+
+
+def test_analytic_rates_match_pinned_digest():
+    h = hashlib.sha256()
+    seen = set()
+    models = _pinned_models(2026, 99)
+    for model in models:
+        try:
+            report = decay_report(model)
+        except NumericalFailure as exc:
+            report = exc
+        h.update(repr(report).encode())
+        seen.add((getattr(report, "case", None), getattr(report, "regime", None)))
+    for model in (MM1, ATOM, models[2]):
+        h.update(repr(y_star(model)).encode())
+        mean = dist.moments(model.service)[0]
+        for f in (0.3, 0.7, 1.5, 4.0):
+            h.update(repr(gamma_p_trunc(model, f * mean)).encode())
+    assert {("atom", "interior"), ("atom", "boundary"), ("no-atom", "interior"),
+            ("no-atom", "boundary"), ("deterministic", None)} <= seen
+    assert h.hexdigest() == PINNED_ANALYTIC

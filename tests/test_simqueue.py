@@ -615,8 +615,8 @@ def test_busy_csv_schema(tmp_path):
 
 
 def test_cycle_psi_frees_its_pooled_arrays():
-    # brentq's wrapper refers to itself, so a function closing over the
-    # pooled arrays would keep them alive until the cyclic collector runs
+    # the pooled arrays must go when cycle_psi returns, with the cyclic
+    # collector off: no reference cycle may hold them
     cycle_psi(MM1, 0.25, 500.0, 200, 3)      # warm up lazy imports
     gc.disable()
     tracemalloc.start()
