@@ -30,7 +30,6 @@ from .ratecalc import (
 )
 from .simqueue import (
     Discipline,
-    busy_to_csv,
     run,
 )
 from .tailest import (

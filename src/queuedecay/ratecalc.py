@@ -6,7 +6,7 @@ Everything reduces to three primitives: the workload rate ``gamma_w``
 shortest-remaining-processing-time variants built on the thinned
 arrival stream.  Every search is one bracketed Brent root finder,
 :func:`dist.find_root`; a concave maximum is the root of its first-order
-condition psi'(s) = 1, or the end of its interval when psi' < 1 there.
+condition psi'(s) = 1, or the end of its interval when psi' <= 1 there.
 """
 
 from __future__ import annotations
@@ -180,33 +180,36 @@ def _psi_slope(arrival, service, s: float, u: float) -> float:
     return (mgf_deriv(service, s) / phi_b) / (mgf_deriv(arrival, -u) * phi_b)
 
 
-def _slope_excess(s: float, arrival, service, psis: dict) -> float:
+def _slope_excess(s: float, arrival, service, table: dict) -> float:
     # psi'(s) - 1, rising through zero at the argmax of s - psi(s); +inf
-    # where psi is not defined or the arrival's mgf slope underflows to 0.
-    # Each psi(s) solved is kept in psis
-    try:
-        if s not in psis:
-            psis[s] = psi(arrival, service, s)
-        return _psi_slope(arrival, service, s, psis[s]) - 1.0
-    except (OutOfDomainError, OutOfRangeError, OverflowError, ZeroDivisionError):
-        return math.inf
+    # where psi is not defined or an mgf factor overflows or its slope
+    # underflows to 0.  table keeps (psi(s), psi'(s) - 1) per point, and
+    # (nan, inf) where that fails, so no point is solved twice
+    if s not in table:
+        try:
+            u = psi(arrival, service, s)
+            table[s] = u, _psi_slope(arrival, service, s, u) - 1.0
+        except (OutOfDomainError, OutOfRangeError, ArithmeticError):
+            table[s] = math.nan, math.inf
+    return table[s][1]
 
 
-def _program(arrival, service, end: float, psis: dict) -> Tuple[float, float]:
-    # (max, argmax) of the concave s - psi(s) on [0, end]: the root of
-    # psi'(s) = 1, or end when psi' < 1 all the way there.  psis holds the
-    # psi(s) already solved; the search returns a point it evaluated, so
-    # psi(s_opt) is read back, not solved again
-    args = (arrival, service, psis)
-    points = _doublings() if math.isinf(end) else (end,)
-    s_opt = find_root(_slope_excess, args, 0.0, _value(0.0, _slope_excess, *args),
-                      points)
-    if s_opt is None:
-        if math.isinf(end):
+def _program(arrival, service, end: float) -> Tuple[float, float, float]:
+    # (max, argmax, psi' - 1 there) of the concave s - psi(s) on [0, end],
+    # end clipped to the service's usable mgf domain: the end itself when
+    # psi' <= 1 there, else the root of psi'(s) = 1.  Every point returned
+    # was evaluated, so its psi is read from the table, not solved again
+    end = min(end, _usable_cap(service))
+    table = {}
+    args = (arrival, service, table)
+    s_opt = end
+    if math.isinf(end) or _value(end, _slope_excess, *args) > 0:
+        s_opt = find_root(_slope_excess, args, 0.0, _value(0.0, _slope_excess, *args),
+                          _doublings() if math.isinf(end) else (end,))
+        if s_opt is None:
             raise NumericalFailure("no concave turnover within the expansion budget")
-        s_opt = end
-    u = psis[s_opt] if s_opt in psis else psi(arrival, service, s_opt)
-    return s_opt - u, s_opt
+    u, excess = table[s_opt]
+    return s_opt - u, s_opt, excess
 
 
 def psi(arrival: DistributionSpec, service: DistributionSpec, s: float) -> float:
@@ -265,7 +268,7 @@ def gamma_w(model: QueueModel) -> float:
 
 def gamma_p_detail(model: QueueModel) -> Tuple[float, float]:
     """(gamma_p, argmax) of the concave program sup_{s>=0} {s - psi(s)}."""
-    return _program(model.arrival, model.service, _usable_cap(model.service), {})
+    return _program(model.arrival, model.service, math.inf)[:2]
 
 
 def gamma_p(model: QueueModel) -> float:
@@ -284,7 +287,7 @@ def gamma_p_trunc(model: QueueModel, y: float) -> float:
     truncated = truncate_below(model.service, y)
     if not support(truncated)[1] > support(model.arrival)[0]:
         return math.inf
-    return _program(model.arrival, truncated, _usable_cap(truncated), {})[0]
+    return _program(model.arrival, truncated, math.inf)[0]
 
 
 def gamma_w2(model: QueueModel) -> PriorityDecay:
@@ -305,15 +308,9 @@ def gamma_w2(model: QueueModel) -> PriorityDecay:
 
 def _gamma_w2(arrival: DistributionSpec, p: float, class1: DistributionSpec,
               gw: float) -> PriorityDecay:
-    service1 = _class1_service(p, class1)
-    cap1 = _usable_cap(service1)
-    psis = {}
-    if gw < cap1:
-        u_gw = psis[gw] = psi(arrival, service1, gw)
-        slope = _psi_slope(arrival, service1, gw, u_gw)
-        if slope < 1.0:
-            return PriorityDecay(gw - u_gw, "boundary", gw, 1.0 - slope)
-    rate, s_opt = _program(arrival, service1, min(gw, cap1), psis)
+    rate, s_opt, excess = _program(arrival, _class1_service(p, class1), gw)
+    if s_opt == gw and excess < 0:
+        return PriorityDecay(rate, "boundary", gw, -excess)
     return PriorityDecay(rate, "interior", s_opt, 0.0)
 
 
@@ -323,11 +320,12 @@ def gamma_v_srpt(model: QueueModel) -> SrptDecay:
     q = 0 gives the busy-period rate, q = 1 the workload rate, and
     0 < q < 1 the low-priority rate of the auxiliary model in which the
     endpoint atom is the low class."""
-    return _srpt(model, *split_endpoint_atom(model.service))[0]
+    q, _, class1 = split_endpoint_atom(model.service)
+    return _srpt(model, q, class1)[0]
 
 
-def _srpt(model: QueueModel, q: float, x_b: float,
-          class1: Optional[DistributionSpec], gw: Optional[float] = None,
+def _srpt(model: QueueModel, q: float, class1: Optional[DistributionSpec],
+          gw: Optional[float] = None,
           gp: Optional[float] = None) -> Tuple[SrptDecay, Optional[PriorityDecay]]:
     # the dispatch on q, with the auxiliary program in the atom case; a
     # rate given as None is solved only when the case needs it
@@ -426,7 +424,7 @@ def decay_report(model: QueueModel) -> DecayReport:
     gw, _ = gamma_w_detail(model)
     gp, _ = gamma_p_detail(model)
     q, x_b, class1 = split_endpoint_atom(model.service)
-    sv, pr = _srpt(model, q, x_b, class1, gw, gp)
+    sv, pr = _srpt(model, q, class1, gw, gp)
     gw2 = None
     if model.split is not None:
         # the split's program, not the atom case's auxiliary one, gives

@@ -396,11 +396,3 @@ def write_records_csv(out: SimOutput, fh) -> None:
                          int(row[3]), repr(float(row[4])),
                          repr(float(row[5])), repr(float(row[6]))])
 
-
-def busy_to_csv(out: SimOutput, path: str) -> None:
-    """Busy periods, one ``start,duration`` row each."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start", "duration"])
-        for s, d in zip(out.busy_starts, out.busy_durations):
-            writer.writerow([repr(float(s)), repr(float(d))])

@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -193,23 +192,25 @@ def fits_agree(first: TailFit, second: TailFit,
 @dataclass(frozen=True)
 class TiltedMeasure:
     nu: float
-    psi_nu: float
-    arrival: SimpleNamespace
-    service: SimpleNamespace
+    arrival: Callable[[np.random.Generator, int], np.ndarray]
+    service: Callable[[np.random.Generator, int], np.ndarray]
 
 
 def tilt_measure(model: QueueModel) -> TiltedMeasure:
     """Exponential change of measure at the workload decay rate nu:
     services reweighted by exp(nu * b), inter-arrivals by exp(-psi(nu) * a).
     There psi(nu) = nu, and the tilted walk drifts upward exactly when
-    psi'(nu) > 1.  ``arrival.draw`` and ``service.draw`` sample the
-    tilted laws; a tilt with no law in dist is TiltUnavailableError."""
+    psi'(nu) > 1.  ``arrival(rng, n)`` and ``service(rng, n)`` draw from
+    the tilted laws; a tilt with no law in dist is TiltUnavailableError."""
     nu, boundary = gamma_w_detail(model)
     if boundary:
         raise TiltUnavailableError(
             "the decay rate lies within the search margin of the service "
             "MGF abscissa, where the tilted service law does not exist")
-    slope = _psi_slope(model.arrival, model.service, nu, nu)
+    try:
+        slope = _psi_slope(model.arrival, model.service, nu, nu)
+    except ArithmeticError:     # read as +inf, as the program searches do
+        slope = math.inf
     if not slope > 1.0:
         raise TiltUnavailableError(
             f"psi'(nu) = {slope} <= 1 at nu={nu}: the tilted walk does not rise")
@@ -217,8 +218,7 @@ def tilt_measure(model: QueueModel) -> TiltedMeasure:
         arrival, service = _sampler(model.arrival, -nu), _sampler(model.service, nu)
     except OutOfDomainError as exc:
         raise TiltUnavailableError(str(exc)) from exc
-    return TiltedMeasure(nu=nu, psi_nu=nu, arrival=SimpleNamespace(draw=arrival),
-                         service=SimpleNamespace(draw=service))
+    return TiltedMeasure(nu=nu, arrival=arrival, service=service)
 
 
 def is_workload_tail(model: QueueModel, x: float, replications: int,
@@ -240,7 +240,7 @@ def is_workload_tail(model: QueueModel, x: float, replications: int,
                          "squared weights exp(-2 gamma_w S) underflow")
 
     def step(rng, n):
-        return measure.service.draw(rng, n) - measure.arrival.draw(rng, n)
+        return measure.service(rng, n) - measure.arrival(rng, n)
 
     estimates = np.empty(replications, dtype=np.float64)
     for rep, rng in enumerate(_stream_run(seed, replications)):

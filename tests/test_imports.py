@@ -23,7 +23,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 EXPORTS = {
     "ConditionedBelow", "Deterministic", "Discipline", "Erlang", "Exponential",
     "FiniteMixture", "QueueModel", "Split", "UniformInterval",
-    "busy_to_csv", "decay_report", "fit_decay", "gamma_p", "gamma_p_trunc",
+    "decay_report", "fit_decay", "gamma_p", "gamma_p_trunc",
     "gamma_v_srpt", "gamma_w", "gamma_w2", "heavy_traffic", "is_workload_tail",
     "run", "sample_array", "stream", "y_star",
 }

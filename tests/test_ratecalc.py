@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from queuedecay import dist
+from queuedecay import dist, ratecalc
 from queuedecay.dist import (
     ConditionedBelow,
     Deterministic,
@@ -37,6 +37,7 @@ from queuedecay.ratecalc import (
     psi,
     y_star,
 )
+from queuedecay.validate import _random_two_class
 
 MM1 = QueueModel(Exponential(0.5), Exponential(1.0))
 MD1 = QueueModel(Exponential(0.5), Deterministic(1.0))
@@ -133,6 +134,38 @@ def test_gamma_w2_boundary_example():
     assert d.s_opt == pytest.approx(gamma_w(model), abs=1e-12)
     assert d.a == pytest.approx(0.825271470022, abs=1e-6)
     assert 0.0 < d.a < 1.0
+
+
+def _record(monkeypatch, name):
+    # the s argument of every call of ratecalc.<name>
+    seen = []
+    original = getattr(ratecalc, name)
+
+    def recorded(arrival, service, s, *rest):
+        seen.append(s)
+        return original(arrival, service, s, *rest)
+    monkeypatch.setattr(ratecalc, name, recorded)
+    return seen
+
+
+def test_gamma_w2_interior_solves_the_slope_at_gamma_w_once(monkeypatch):
+    model = QueueModel(Exponential(1.0),
+                       split=Split(0.5, Exponential(4.0), Exponential(4.0)))
+    gw = gamma_w(model)
+    slopes = _record(monkeypatch, "_psi_slope")
+    assert gamma_w2(model).regime == "interior"
+    assert slopes.count(gw) == 1
+
+
+def test_gamma_w2_boundary_evaluates_no_point_below_gamma_w(monkeypatch):
+    model = QueueModel(Exponential(1.0),
+                       split=Split(0.5, UniformInterval(0.0, 0.5),
+                                   Deterministic(1.0)))
+    gw = gamma_w(model)
+    points = _record(monkeypatch, "psi")
+    slopes = _record(monkeypatch, "_psi_slope")
+    assert gamma_w2(model).regime == "boundary"
+    assert points == slopes == [gw]
 
 
 def test_gamma_w2_ordering():
@@ -554,3 +587,36 @@ def test_analytic_rates_match_pinned_digest():
     assert {("atom", "interior"), ("atom", "boundary"), ("no-atom", "interior"),
             ("no-atom", "boundary"), ("deterministic", None)} <= seen
     assert h.hexdigest() == PINNED_ANALYTIC
+
+
+def _program_models():
+    # criterion 3's seeded two-class models, then endpoint atoms over a
+    # uniform, a conditioned Erlang and a deterministic body
+    rng = np.random.default_rng(20240817)
+    split_models = [_random_two_class(rng) for _ in range(100)]
+    atom_models = [ATOM, TWO_ATOM, QueueModel(Erlang(2, 1.5), FiniteMixture(
+        ((0.3, UniformInterval(0.1, 0.4)), (0.7, Deterministic(0.6))))),
+        QueueModel(Exponential(0.8), FiniteMixture(
+            ((0.6, ConditionedBelow(Erlang(2, 3.0), 1.2)), (0.4, Deterministic(1.2)))))]
+    return split_models + atom_models
+
+
+# sha256 over the reprs of gamma_w2, gamma_v_srpt and gamma_p_detail on the
+# models above; pins the concave program's regimes bit for bit
+PINNED_PROGRAM = "f81b9b89dd08985a447dcdecfa05cb5bac9e490d38dcfe62cd0dbdfe36ee1fbf"
+
+
+def test_concave_program_rates_match_pinned_digest():
+    h = hashlib.sha256()
+    seen = set()
+    for model in _program_models():
+        if model.split is not None:
+            pr = gamma_w2(model)
+            seen.add(pr.regime)
+            h.update(repr(pr).encode())
+        sv = gamma_v_srpt(model)
+        seen.add(sv.case)
+        h.update(repr(sv).encode())
+        h.update(repr(gamma_p_detail(model)).encode())
+    assert seen == {"interior", "boundary", "no-atom", "atom"}
+    assert h.hexdigest() == PINNED_PROGRAM

@@ -24,7 +24,6 @@ from queuedecay.ratecalc import NumericalFailure, QueueModel, Split, psi
 from queuedecay.simqueue import (
     Discipline,
     _streams,
-    busy_to_csv,
     cycle_psi,
     empirical_psi,
     lindley_workload,
@@ -602,16 +601,6 @@ def test_csv_export_schema(tmp_path):
     buf = io.StringIO()
     write_records_csv(out, buf)
     assert buf.getvalue().splitlines() == lines
-
-
-def test_busy_csv_schema(tmp_path):
-    out = run(MM1, Discipline.FIFO, 500, 14)
-    path = tmp_path / "busy.csv"
-    busy_to_csv(out, str(path))
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    assert rows[0] == ["start", "duration"]
-    assert [float(r[0]) for r in rows[1:]] == out.busy_starts.tolist()
-    assert [float(r[1]) for r in rows[1:]] == out.busy_durations.tolist()
 
 
 def test_cycle_psi_frees_its_pooled_arrays():

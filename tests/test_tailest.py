@@ -298,8 +298,7 @@ def test_tilt_preserves_root_identity():
         tm = tilt_measure(model)
         root = gamma_w(model)
         assert tm.nu == pytest.approx(root, rel=1e-12)
-        assert tm.psi_nu == pytest.approx(root, rel=1e-12)
-        value = mgf(model.arrival, -tm.psi_nu) * mgf(model.service, tm.nu)
+        value = mgf(model.arrival, -tm.nu) * mgf(model.service, tm.nu)
         assert value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -309,16 +308,16 @@ def test_tilt_sampler_means_match_tilted_densities():
                                       (0.5, Exponential(1.5))]))
     tm = tilt_measure(model)
     rng = stream(5, 0)
-    svc = tm.service.draw(rng, 200_000)
+    svc = tm.service(rng, 200_000)
     eps = 1e-6
     want = (mgf(model.service, tm.nu + eps)
             - mgf(model.service, tm.nu - eps)) / (2 * eps)
     want /= mgf(model.service, tm.nu)
     assert svc.mean() == pytest.approx(want, rel=0.01)
-    arr = tm.arrival.draw(rng, 200_000)
-    want_a = -(mgf(model.arrival, -tm.psi_nu - eps)
-               - mgf(model.arrival, -tm.psi_nu + eps)) / (2 * eps)
-    want_a /= mgf(model.arrival, -tm.psi_nu)
+    arr = tm.arrival(rng, 200_000)
+    want_a = -(mgf(model.arrival, -tm.nu - eps)
+               - mgf(model.arrival, -tm.nu + eps)) / (2 * eps)
+    want_a /= mgf(model.arrival, -tm.nu)
     assert arr.mean() == pytest.approx(want_a, rel=0.01)
 
 
@@ -369,8 +368,8 @@ def test_tilted_draws_and_estimates_match_pinned_digests(name):
     tm = tilt_measure(model)
     rng = stream(3, 0)
     h = hashlib.sha256()
-    h.update(tm.arrival.draw(rng, 50_000).tobytes())
-    h.update(tm.service.draw(rng, 50_000).tobytes())
+    h.update(tm.arrival(rng, 50_000).tobytes())
+    h.update(tm.service(rng, 50_000).tobytes())
     h.update(np.array(is_workload_tail(model, 5.0, 200, 9)).tobytes())
     assert h.hexdigest() == TILT_DIGESTS[name]
 
@@ -388,6 +387,21 @@ def test_tilt_unavailable_when_the_rate_is_the_service_abscissa():
     boundary = QueueModel(Deterministic(30.0), Exponential(1.0))
     with pytest.raises(TiltUnavailableError, match="search margin"):
         tilt_measure(boundary)
+
+
+@pytest.mark.parametrize("unit", [1.0, 2.0 ** 300])
+def test_tilt_past_an_erlang_rate_is_unavailable_in_any_time_unit(unit):
+    # a seed-1 rates-sweep model in the time unit given; at 2**300,
+    # psi'(nu) overflows in the conditioned Erlang's moment series and reads
+    # as +inf, as in the program searches, so the model fails on its tilted
+    # law exactly as its unit-1 twin does
+    c = 2.0 ** 300 / unit
+    model = QueueModel(Exponential(4.909093465297727e-91 * c), ConditionedBelow(
+        Erlang(3, 7.544417050941428e-91 * c), 1.4056921920126603e+90 / c))
+    assert gamma_w(model) * unit == 2.389686216495117
+    for estimate in (tilt_measure, lambda m: is_workload_tail(m, 1.0, 10, 1)):
+        with pytest.raises(TiltUnavailableError, match="reaches the rate of Erlang"):
+            estimate(model)
 
 
 @pytest.mark.parametrize("x", ["nan", "inf"])
