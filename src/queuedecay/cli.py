@@ -58,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also report the critical truncation level "
                               "y* and P(B > y*)")
     add_io(p_rates)
+    p_rates.set_defaults(run=cmd_rates)
 
     p_sim = sub.add_parser(
         "simulate", help="simulate one discipline and fit tail decays")
@@ -77,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fit conditional sojourn decay per service-time "
                             "bin of width W; 0 selects 0.1 E[B]")
     add_io(p_sim)
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_curve = sub.add_parser(
         "ystar-curve", help="critical truncation level across a load grid "
@@ -85,12 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="A:B:STEP", help="inclusive load grid "
                          "(default 0.05:0.95:0.05)")
     add_io(p_curve, default_output="csv")
+    p_curve.set_defaults(run=cmd_ystar_curve)
 
     p_val = sub.add_parser(
         "validate", help="run the built-in acceptance suite")
     p_val.add_argument("--quick", action="store_true",
                        help="downscale simulation criteria to 1e5 customers "
                             "with widened tolerances")
+    p_val.set_defaults(run=cmd_validate)
     return parser
 
 
@@ -118,26 +122,20 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_rates(args: argparse.Namespace) -> str:
+def cmd_rates(args: argparse.Namespace) -> Tuple[str, int]:
     model = _load_model(args.model)
-    report = decay_report(model)
-    doc = {"model": model_to_json(model), "report": report.to_json()}
+    report = decay_report(model).to_json()
+    doc = {"model": model_to_json(model), "report": report}
     if args.ystar:
         crit = y_star(model)
-        doc["y_star"] = crit.value
-        doc["p_exceed"] = crit.tail_prob
+        doc.update(y_star=crit.value, p_exceed=crit.tail_prob)
     if args.output == "json":
-        return _json_text(doc)
-    lines = ["key,value"]
-    for key, value in doc["report"].items():
-        if value is None:
-            lines.append(f"{key},")
-        else:
-            lines.append(f"{key},{value}")
-    if args.ystar:
-        lines.append(f"y_star,{doc['y_star']}")
-        lines.append(f"p_exceed,{doc['p_exceed']}")
-    return "\n".join(lines) + "\n"
+        return _json_text(doc), EXIT_OK
+    # the report's rows, then the --ystar fields that follow it in doc
+    rows = [*report.items(), *list(doc.items())[2:]]
+    lines = ["key,value"] + [f"{key},{'' if value is None else value}"
+                             for key, value in rows]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _fit_block(samples, analytic: Optional[float], **window):
@@ -154,7 +152,24 @@ def _fit_block(samples, analytic: Optional[float], **window):
     return block
 
 
-def cmd_simulate(args: argparse.Namespace) -> str:
+# The paper's map from discipline to tail decay rate: the DecayReport
+# field that each targeted fit of `simulate` is compared against.  An
+# SRPT job of size y decays at gamma_p of the system truncated at y, so
+# the --bins entries of a gamma_v row compare against gamma_p_trunc at
+# the bin midpoint.  The class-2 samples exist only for a priority row.
+_TARGETS = {
+    Discipline.FIFO: {"waiting": "gamma_w"},
+    Discipline.LIFO_PR: {},
+    Discipline.SRPT_PR: {"sojourn": "gamma_v"},
+    Discipline.SRPT_NP: {"sojourn": "gamma_v"},
+    Discipline.PRIO_PR: {"class2_waiting": "gamma_w2",
+                         "class2_sojourn": "gamma_w2"},
+    Discipline.PRIO_NP: {"class2_waiting": "gamma_w2",
+                         "class2_sojourn": "gamma_w2"},
+}
+
+
+def cmd_simulate(args: argparse.Namespace) -> Tuple[str, int]:
     model = _load_model(args.model)
     discipline = Discipline(args.discipline)
     out = run(model, discipline, args.customers, args.seed, args.warmup)
@@ -162,43 +177,32 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         import io
         buf = io.StringIO()
         write_records_csv(out, buf)
-        return buf.getvalue()
+        return buf.getvalue(), EXIT_OK
 
     report = decay_report(model)
-    srpt = discipline in (Discipline.SRPT_PR, Discipline.SRPT_NP)
-    prio = discipline in (Discipline.PRIO_PR, Discipline.PRIO_NP)
-
-    waiting_target = report.gamma_w if discipline is Discipline.FIFO else None
-    sojourn_target = report.gamma_v if srpt else None
-    fits = {
-        "waiting": _fit_block(out.waiting(), waiting_target),
-        "sojourn": _fit_block(out.sojourn(), sojourn_target),
-    }
-    if model.split is not None and prio:
+    targets = _TARGETS[discipline]
+    samples = {"waiting": out.waiting(), "sojourn": out.sojourn()}
+    if "class2_waiting" in targets:
         two = out.customer_class[out.kept()] == 2
-        target2 = report.gamma_w2
-        fits["class2_waiting"] = _fit_block(out.waiting()[two], target2)
-        fits["class2_sojourn"] = _fit_block(out.sojourn()[two], target2)
+        samples.update({f"class2_{name}": sample[two]
+                        for name, sample in samples.items()})
+    analytic = {name: getattr(report, field) for name, field in targets.items()}
+    fits = {name: _fit_block(sample, analytic.get(name))
+            for name, sample in samples.items()}
 
     bins_doc = None
     if args.bins is not None:
-        width = args.bins
-        if width == 0.0:
-            width = 0.1 * moments(model.service)[0]
+        width = args.bins or 0.1 * moments(model.service)[0]
+        binned = targets.get("sojourn") == "gamma_v"
         bins_doc = []
-        sojourn = out.sojourn()
         for lo, hi, idx in service_bins(out, width):
-            entry = {"lo": lo, "hi": hi, "count": int(len(idx))}
-            target = None
-            if srpt:
-                target = gamma_p_trunc(model, 0.5 * (lo + hi))
-                if math.isinf(target):
-                    target = None
+            target = gamma_p_trunc(model, 0.5 * (lo + hi)) if binned else None
             # bins hold far fewer samples than a full run, so the
             # conditional fits use a wider window and a lower floor
-            entry.update(_fit_block(sojourn[idx], target,
-                                    lo_quantile=0.90, min_points=50))
-            bins_doc.append(entry)
+            bins_doc.append({"lo": lo, "hi": hi, "count": int(len(idx)),
+                             **_fit_block(samples["sojourn"][idx],
+                                          None if target == math.inf else target,
+                                          lo_quantile=0.90, min_points=50)})
 
     doc = {
         "model": model_to_json(model),
@@ -212,13 +216,13 @@ def cmd_simulate(args: argparse.Namespace) -> str:
             "total_time": out.total_time,
             "busy_periods": int(len(out.busy_durations)),
             "mean_busy": float(out.busy_durations.mean()),
-            "mean_waiting": float(out.waiting().mean()),
-            "mean_sojourn": float(out.sojourn().mean()),
+            "mean_waiting": float(samples["waiting"].mean()),
+            "mean_sojourn": float(samples["sojourn"].mean()),
         },
         "fits": fits,
         "bins": bins_doc,
     }
-    return _json_text(doc)
+    return _json_text(doc), EXIT_OK
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -243,7 +247,7 @@ def _parse_grid(text: str) -> List[float]:
     return grid
 
 
-def cmd_ystar_curve(args: argparse.Namespace) -> str:
+def cmd_ystar_curve(args: argparse.Namespace) -> Tuple[str, int]:
     from .dist import Exponential
     rows = []
     for rho in _parse_grid(args.rho_grid):
@@ -256,7 +260,8 @@ def cmd_ystar_curve(args: argparse.Namespace) -> str:
             rows.append({"rho": rho, "y_star": None, "p_exceed": None,
                          "error": str(exc)})
     if args.output == "json":
-        return _json_text({"family": "mm1-unit-mean-service", "rows": rows})
+        return _json_text({"family": "mm1-unit-mean-service",
+                           "rows": rows}), EXIT_OK
     lines = ["rho,y_star,p_exceed,error"]
     for row in rows:
         if row["error"] is None:
@@ -264,7 +269,7 @@ def cmd_ystar_curve(args: argparse.Namespace) -> str:
         else:
             err = row["error"].replace('"', "'")
             lines.append(f"{row['rho']},,,\"{err}\"")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> Tuple[str, int]:
@@ -287,14 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     code = EXIT_OK
     try:
-        if args.command == "rates":
-            text = cmd_rates(args)
-        elif args.command == "simulate":
-            text = cmd_simulate(args)
-        elif args.command == "ystar-curve":
-            text = cmd_ystar_curve(args)
-        else:
-            text, code = cmd_validate(args)
+        text, code = args.run(args)
         _emit(text, getattr(args, "out", None))
     except BrokenPipeError:
         import os

@@ -225,9 +225,11 @@ def psi(arrival: DistributionSpec, service: DistributionSpec, s: float) -> float
 
 def _class1_service(p: float, class1: DistributionSpec) -> DistributionSpec:
     # class1 with probability p and zero otherwise: the p-thinned stream's
-    # equation Phi_A1(-u) Phi_B1(s) = 1 is Phi_A(-u) (p Phi_B1(s) + 1 - p) = 1
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+    # equation Phi_A1(-u) Phi_B1(s) = 1 is Phi_A(-u) (p Phi_B1(s) + 1 - p) = 1;
+    # p rounds to 1 when an endpoint atom's mass is at most 2^-54, and the
+    # thinned stream is then the whole stream
+    if p == 1.0:
+        return class1
     return FiniteMixture(((p, class1), (1.0 - p, Deterministic(0.0))))
 
 
@@ -282,8 +284,6 @@ def gamma_p_trunc(model: QueueModel, y: float) -> float:
     decay rate of a shortest-remaining-first customer with service y
     when y carries no atom.  +inf when the truncated system never
     queues."""
-    if not y > 0:
-        raise ValueError("y must be positive")
     truncated = truncate_below(model.service, y)
     if not support(truncated)[1] > support(model.arrival)[0]:
         return math.inf

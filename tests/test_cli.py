@@ -1,14 +1,18 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import queuedecay.validate
 from queuedecay.cli import _parse_grid, main
-from queuedecay.ratecalc import PriorityDecay, gamma_p_trunc, model_from_json, y_star
+from queuedecay.ratecalc import (NumericalFailure, PriorityDecay, gamma_p,
+                                 gamma_p_trunc, gamma_v_srpt, model_from_json,
+                                 y_star)
 from queuedecay.validate import run_criterion
 
 MM1 = {"arrival": {"type": "exponential", "rate": 0.5},
@@ -530,3 +534,120 @@ def test_deeply_nested_model_file_ends_with_one_error_line(capsys, tmp_path, nam
     assert main(command + ["--model", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# one sha256 over the exit code and stdout bytes of each call in turn:
+# every byte of these documents is pinned.  At 150 000 customers every
+# targeted fit of the split model carries a comparison, the class-2 fits
+# of the priority runs included
+DISCIPLINES = ("fifo", "lifo-pr", "srpt-pr", "srpt-np", "prio-pr", "prio-np")
+PINNED_CLI_CALLS = (
+    [(["rates", "--ystar", "--output", out], model)
+     for model in (MM1, SPLIT, UNIFORM_ARRIVALS) for out in ("json", "csv")]
+    + [(["simulate", "--discipline", name, "--customers", "150000", "--seed", "2"],
+        SPLIT) for name in DISCIPLINES]
+    + [(["simulate", "--discipline", "srpt-pr", "--customers", "20000",
+         "--seed", "3", "--bins", "0"], UNIFORM_ARRIVALS),
+       (["ystar-curve", "--rho-grid", "0.5:1.5:0.25"], None)])
+PINNED_CLI_DIGEST = "b2f907de63da496fff7a5fb8810d637d2904211552778a8a4c26b7973390b926"
+
+
+def test_cli_documents_match_pinned_digest(capsys, model_file):
+    h = hashlib.sha256()
+    for argv, model in PINNED_CLI_CALLS:
+        if model is not None:
+            argv = argv + ["--model", model_file(model)]
+        code = main(argv)
+        out = capsys.readouterr().out
+        h.update(f"{code}\n".encode())
+        h.update(out.encode())
+        if argv[0] == "simulate" and "--bins" not in argv:
+            doc = json.loads(out)
+            assert all(block["comparison"] is not None
+                       for block in doc["fits"].values()
+                       if block["analytic"] is not None), argv
+    assert h.hexdigest() == PINNED_CLI_DIGEST
+
+
+# weight 1e-17 on the endpoint atom sums to one within FiniteMixture's
+# tolerance, and 1 - q rounds to 1: the auxiliary priority queue's class 1
+# is then the whole stream, the law below the atom
+TINY_ATOM = {"arrival": EXP1,
+             "service": {"type": "mixture", "components": [
+                 {"weight": 1.0, "dist": SPLIT["split"]["class1"]},
+                 {"weight": 1e-17, "dist": SPLIT["split"]["class2"]}]}}
+
+
+def test_endpoint_atom_below_rounding_reads_as_the_atom_case(capsys, model_file):
+    below = model_from_json(dict(TINY_ATOM, service=SPLIT["split"]["class1"]))
+    srpt = gamma_v_srpt(model_from_json(TINY_ATOM))
+    assert srpt.case == "atom"
+    assert srpt.rate == pytest.approx(gamma_p(below), rel=1e-12)
+    code, out = _run(capsys, ["rates", "--model", model_file(TINY_ATOM)])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["case"] == "atom" and report["regime"] == "interior"
+    assert report["gamma_v"] == srpt.rate
+
+
+def _stub_criterion(monkeypatch, budget, func):
+    monkeypatch.setattr(queuedecay.validate, "CRITERIA",
+                        ((1, "stub", budget, func),))
+
+
+def _numerical_failure(quick):
+    raise NumericalFailure("stub diverged")
+
+
+def test_validate_numerical_failure_exits_3(capsys, monkeypatch):
+    _stub_criterion(monkeypatch, 1.0, _numerical_failure)
+    code, out = _run(capsys, ["validate", "--quick"])
+    assert code == 3
+    lines = out.splitlines()
+    assert "FAIL" in lines[0] and "numerical failure: stub diverged" in lines[0]
+    assert lines[1] == "passed 0/1 (quick mode)"
+
+
+def test_validate_criterion_over_its_budget_fails(capsys, monkeypatch):
+    def slow(quick):
+        time.sleep(0.05)
+        return True, "ok"
+
+    _stub_criterion(monkeypatch, 0.01, slow)
+    code, out = _run(capsys, ["validate"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL" in lines[0] and lines[0].endswith("ok; exceeded 0s budget")
+    assert lines[1] == "passed 0/1"
+
+
+class _ClosedStdout:
+    # a pipe whose reader has gone: every write raises
+    def __init__(self, fd):
+        self.fd = fd
+        self.raised = False
+
+    def write(self, text):
+        self.raised = True
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("command,expected", [("rates", 0), ("validate", 3)])
+def test_closed_stdout_ends_quietly_with_the_commands_exit_code(
+        capsys, monkeypatch, model_file, tmp_path, command, expected):
+    _stub_criterion(monkeypatch, 1.0, _numerical_failure)
+    argv = [command] + (["--model", model_file(MM1)] if command == "rates" else [])
+    captured = sys.stdout
+    with open(tmp_path / "stdout", "w") as target:
+        closed = _ClosedStdout(target.fileno())
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(argv)
+        monkeypatch.setattr(sys, "stdout", captured)
+    assert closed.raised and code == expected
+    assert capsys.readouterr().err == ""

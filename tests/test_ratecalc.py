@@ -267,6 +267,12 @@ def test_gamma_p_trunc_monotone_to_gamma_p():
     assert all(v >= gamma_p(MM1) - 1e-12 for v in vals)
 
 
+@pytest.mark.parametrize("y", [0.0, -1.0, math.nan])
+def test_gamma_p_trunc_refuses_a_level_that_is_not_positive(y):
+    with pytest.raises(ValueError, match="y must be positive"):
+        gamma_p_trunc(MM1, y)
+
+
 def test_gamma_p_trunc_no_delays_is_infinite():
     # truncating below the shortest possible interarrival leaves no delays
     model = QueueModel(UniformInterval(1.0, 2.0), UniformInterval(0.0, 1.5))
