@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 from .dist import (
     Deterministic,
     DistributionSpec,
-    Exponential,
     FiniteMixture,
     NumericalFailure,
     OutOfDomainError,
@@ -116,14 +115,6 @@ class PriorityDecay:
 class SrptDecay:
     rate: float
     case: str              # "no-atom", "atom", or "deterministic"
-
-
-@dataclass(frozen=True)
-class PoissonRates:
-    gamma_w: float
-    gamma_w2: Optional[float]
-    gamma_v: Optional[float]
-    guard_ok: Optional[bool]
 
 
 @dataclass(frozen=True)
@@ -338,45 +329,6 @@ def _srpt(model: QueueModel, q: float, class1: Optional[DistributionSpec],
     # the auxiliary priority queue: class 1 is the law below the atom
     pr = _gamma_w2(model.arrival, 1.0 - q, class1, gw)
     return SrptDecay(pr.rate, "atom"), pr
-
-
-def poisson_rates(lam: float, service: Optional[DistributionSpec] = None,
-                  split: Optional[Split] = None) -> PoissonRates:
-    """Closed-form bundle for Poisson arrivals with rate lam.
-
-    gamma_w solves s = lam * (Phi_B(s) - 1).  With a split, gamma_w2 is
-    gamma_w - lam1 * (Phi_B1(gamma_w) - 1) provided the slope guard
-    lam1 * Phi_B1'(gamma_w) < 1 holds.  With a service endpoint atom q,
-    gamma_v is the atom formula lam * q * (exp(x_B * gamma_w) - 1), whose
-    own guard thins by 1 - q; a deterministic service gives
-    lam * (exp(x_B * gamma_w) - 1).  A rate whose guard fails is None:
-    its program is interior and has no closed form.  guard_ok is the
-    conjunction of the guards checked, or None when nothing guarded
-    applied.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    model = QueueModel(Exponential(lam), service, split)
-    gw, boundary = gamma_w_detail(model)
-    if boundary:
-        raise NumericalFailure("no root of the arrival-rate fixed point")
-    # gamma_w < s_max(service) <= s_max(class1), and the law below a
-    # finite atom is bounded, so neither guard leaves an mgf domain
-    gw2 = gv = None
-    guards = []
-    if split is not None:
-        lam1 = split.p * lam
-        guards.append(lam1 * mgf_deriv(split.class1, gw) < 1.0)
-        if guards[-1]:
-            gw2 = gw - lam1 * (mgf(split.class1, gw) - 1.0)
-    q, x_b, below = split_endpoint_atom(model.service)
-    if q >= 1.0:
-        gv = lam * math.expm1(x_b * gw)
-    elif q > 0.0:
-        guards.append(lam * (1.0 - q) * mgf_deriv(below, gw) < 1.0)
-        if guards[-1]:
-            gv = lam * q * math.expm1(x_b * gw)
-    return PoissonRates(gw, gw2, gv, all(guards) if guards else None)
 
 
 def _cutoff_excess(y: float, model: QueueModel, gw: float) -> float:

@@ -20,10 +20,9 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .dist import (Deterministic, Erlang, Exponential, FiniteMixture,
-                   UniformInterval)
+                   UniformInterval, mgf, mgf_deriv)
 from .ratecalc import (NumericalFailure, QueueModel, Split, decay_report, gamma_p,
-                       gamma_v_srpt, gamma_w, gamma_w2, heavy_traffic,
-                       poisson_rates, y_star)
+                       gamma_v_srpt, gamma_w, gamma_w2, heavy_traffic, y_star)
 from .simqueue import Discipline, cycle_psi, empirical_psi, run
 from .tailest import compare_rates, fit_decay, fits_agree, is_workload_tail
 
@@ -67,12 +66,18 @@ def _crit_priority_cross_checks(quick: bool) -> Tuple[bool, str]:
                           split=Split(0.5, UniformInterval(0.0, 0.5),
                                       Deterministic(1.0)))
     db = gamma_w2(boundary)
-    closed = poisson_rates(1.0, split=boundary.split)
-    ok_b = (db.regime == "boundary" and closed.guard_ok
-            and abs(db.rate - closed.gamma_w2) <= 1e-7)
+    # Poisson arrivals at rate 1: the boundary optimum's closed form
+    # gamma_w - lam1 (Phi_B1(gamma_w) - 1), valid while its slope guard holds
+    gw = gamma_w(boundary)
+    lam1 = boundary.split.p * 1.0
+    class1 = boundary.split.class1
+    guard_ok = lam1 * mgf_deriv(class1, gw) < 1.0
+    closed = gw - lam1 * (mgf(class1, gw) - 1.0)
+    ok_b = (db.regime == "boundary" and guard_ok
+            and abs(db.rate - closed) <= 1e-7)
     ok = ok_i and ok_b
     return ok, (f"interior rate={di.rate:.10f} regime={di.regime} a={di.a}; "
-                f"boundary rate={db.rate:.10f} vs closed {closed.gamma_w2:.10f} "
+                f"boundary rate={db.rate:.10f} vs closed {closed:.10f} "
                 f"regime={db.regime}")
 
 

@@ -373,6 +373,18 @@ def test_ystar_curve_endless_or_huge_grid_is_one_error_line(grid):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("nan:1:0.1", "needs finite A, B and STEP"),
+    ("0:1:1e-5", "more than 10000 points"),
+])
+def test_ystar_curve_bad_grid_message(capsys, grid, message):
+    assert main(["ystar-curve", "--rho-grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_ystar_curve_grid_points():
     assert _parse_grid("0.3:0.7:0.2") == [0.3, 0.5, 0.7]
     assert _parse_grid("0.5:0.5:1") == [0.5]
@@ -389,6 +401,11 @@ def test_ystar_curve_per_point_errors_are_rows(capsys):
     assert len(lines) == 4
     assert lines[1].endswith(",")  # rho 0.5 row has an empty error cell
     assert "below 1" in lines[2] and lines[2].startswith("1.0,,,")
+
+
+def test_validate_refuses_an_unknown_criterion():
+    with pytest.raises(ValueError, match="no criterion numbered 11"):
+        run_criterion(11)
 
 
 def test_validate_single_criterion_runs():

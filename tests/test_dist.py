@@ -457,6 +457,22 @@ def test_constructors_reject_infinite_fields(build):
         build()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FiniteMixture(()), ValueError, "at least one component"),
+    (lambda: FiniteMixture(((0.0, Exponential(1.0)), (1.0, Exponential(2.0)))),
+     ValueError, r"weights must lie in \(0, 1\]"),
+    (lambda: ConditionedBelow(UniformInterval(0.0, 1.0), 0.5), ValueError,
+     "base must be Exponential or Erlang"),
+    (lambda: mgf_deriv(Exponential(1.0), 1.0), OutOfDomainError, "abscissa"),
+    (lambda: inverse_mgf_neg(Exponential(1.0), 1e-320), OutOfRangeError,
+     "too close to the infimum"),
+], ids=["empty-mixture", "zero-weight", "conditioned-uniform",
+        "mgf-deriv-at-the-abscissa", "inverse-below-the-infimum"])
+def test_input_checks_raise_their_messages(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_sf_is_the_complement_of_cdf():
     for d in VARIANTS:
         for x in (-1.0, 0.0, 0.3, 0.9, 1.3, 1.99, 2.0, 5.0):

@@ -14,6 +14,8 @@ from queuedecay.dist import (
     FiniteMixture,
     UniformInterval,
     mgf,
+    mgf_deriv,
+    split_endpoint_atom,
 )
 from queuedecay.ratecalc import (
     NoDelaysError,
@@ -33,7 +35,6 @@ from queuedecay.ratecalc import (
     heavy_traffic,
     model_from_json,
     model_to_json,
-    poisson_rates,
     psi,
     y_star,
 )
@@ -176,40 +177,52 @@ def test_gamma_w2_ordering():
     assert gamma_p(model) < mid < gamma_w(model)
 
 
+# Closed forms for Poisson arrivals at rate lam, which the concave program
+# must agree with.  gamma_w solves s = lam (Phi_B(s) - 1).  A split's
+# boundary optimum is gamma_w - lam1 (Phi_B1(gamma_w) - 1), valid while
+# lam1 Phi_B1'(gamma_w) < 1.  An endpoint atom q < 1 at x_B gives
+# lam q (exp(x_B gamma_w) - 1), valid while lam (1 - q) Phi_B1'(gamma_w) < 1
+# for the law B1 below the atom; q = 1 gives lam (exp(x_B gamma_w) - 1).
+
+
 def test_poisson_rates_guard_ok_matches_generic():
-    rates = poisson_rates(0.5, service=TWO_ATOM.service)
-    assert rates.guard_ok
-    assert rates.gamma_w == pytest.approx(1.976945675020, abs=1e-9)
-    assert rates.gamma_v == pytest.approx(1.555163760845, abs=1e-9)
-    assert rates.gamma_v == pytest.approx(gamma_v_srpt(TWO_ATOM).rate, abs=1e-8)
-    assert rates.gamma_w == pytest.approx(gamma_w(TWO_ATOM), abs=1e-10)
+    lam, gw = 0.5, gamma_w(TWO_ATOM)
+    q, x_b, below = split_endpoint_atom(TWO_ATOM.service)
+    assert lam * (1.0 - q) * mgf_deriv(below, gw) < 1.0
+    gv = lam * q * math.expm1(x_b * gw)
+    assert gw == pytest.approx(1.976945675020, abs=1e-9)
+    assert gv == pytest.approx(1.555163760845, abs=1e-9)
+    assert gv == pytest.approx(gamma_v_srpt(TWO_ATOM).rate, abs=1e-8)
+    assert gw == pytest.approx(lam * (mgf(TWO_ATOM.service, gw) - 1.0), abs=1e-10)
 
 
 def test_poisson_rates_guard_fail_has_no_closed_form():
     # interior-regime split: the closed form's validity guard fails, and
     # the rate it guards has no closed form
     split = Split(0.5, Exponential(4.0), Exponential(4.0))
-    rates = poisson_rates(1.0, split=split)
-    assert not rates.guard_ok
-    assert rates.gamma_w2 is None
-    assert rates.gamma_w == pytest.approx(3.0, abs=1e-9)
-    assert gamma_w2(QueueModel(Exponential(1.0), split=split)).regime == "interior"
+    model = QueueModel(Exponential(1.0), split=split)
+    gw = gamma_w(model)
+    assert not split.p * 1.0 * mgf_deriv(split.class1, gw) < 1.0
+    assert gw == pytest.approx(3.0, abs=1e-9)
+    assert gamma_w2(model).regime == "interior"
 
 
 def test_poisson_rates_deterministic_service_is_the_workload_rate():
     # q = 1: lam * (exp(x_B * gamma_w) - 1) = gamma_w by the fixed point
-    rates = poisson_rates(0.5, service=Deterministic(1.0))
-    assert rates.guard_ok is None and rates.gamma_w2 is None
-    assert rates.gamma_v == pytest.approx(gamma_v_srpt(MD1).rate, rel=1e-12)
+    q, x_b, _ = split_endpoint_atom(MD1.service)
+    assert q == 1.0
+    gv = 0.5 * math.expm1(x_b * gamma_w(MD1))
+    assert gv == pytest.approx(gamma_v_srpt(MD1).rate, rel=1e-12)
     assert gamma_v_srpt(MD1).case == "deterministic"
 
 
 def test_poisson_rates_boundary_matches_closed_form():
     split = Split(0.5, UniformInterval(0.0, 0.5), Deterministic(1.0))
-    rates = poisson_rates(1.0, split=split)
     model = QueueModel(Exponential(1.0), split=split)
-    assert rates.guard_ok
-    assert rates.gamma_w2 == pytest.approx(gamma_w2(model).rate, abs=1e-8)
+    gw, lam1 = gamma_w(model), split.p * 1.0
+    assert lam1 * mgf_deriv(split.class1, gw) < 1.0
+    closed = gw - lam1 * (mgf(split.class1, gw) - 1.0)
+    assert closed == pytest.approx(gamma_w2(model).rate, abs=1e-8)
 
 
 def test_gamma_w_boundary_flag_within_the_search_margin():
@@ -265,6 +278,17 @@ def test_gamma_p_trunc_monotone_to_gamma_p():
     assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(gamma_p(MM1), rel=1e-3)
     assert all(v >= gamma_p(MM1) - 1e-12 for v in vals)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QueueModel(Exponential(1.0)), "provide a service law or a split"),
+    (lambda: psi(MM1.arrival, MM1.service, -1.0), "s must be nonnegative"),
+    (lambda: gamma_w2(MM1), "model has no class split"),
+    (lambda: model_from_json([]), "model JSON needs an 'arrival' law"),
+], ids=["no-service", "negative-s", "no-split", "no-arrival"])
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("y", [0.0, -1.0, math.nan])

@@ -227,6 +227,11 @@ def test_lindley_accepts_lists_and_strided_arrays():
     assert lindley_workload([], []).tolist() == []
 
 
+def test_lindley_rejects_sequences_of_unequal_length():
+    with pytest.raises(ValueError, match="sequences must have equal length"):
+        lindley_workload([1.0], [1.0, 2.0])
+
+
 def test_lindley_recursion_hand_check():
     w = lindley_workload(np.array([1.0, 2.0, 1.0]), np.array([3.0, 0.5, 1.0]))
     assert w[0] == 0.0

@@ -23,6 +23,7 @@ from queuedecay.dist import (
 from queuedecay.ratecalc import QueueModel, Split, gamma_w
 from queuedecay.tailest import (
     DegenerateTailError,
+    TailFit,
     TiltUnavailableError,
     compare_rates,
     fit_decay,
@@ -145,6 +146,18 @@ def test_compare_rates():
     assert not strict.passed
     exact = compare_rates(fit.rate, fit, tolerance=0.0)
     assert exact.passed and exact.z_score == 0.0
+
+
+@pytest.mark.parametrize("analytic, rate, stderr, rel, z", [
+    (0.0, 0.5, 0.1, math.inf, 5.0),
+    (0.0, 0.0, 0.1, 0.0, 0.0),
+    (0.5, 1.0, 0.0, 1.0, math.inf),
+    (0.5, 0.5, 0.0, 0.0, 0.0),
+], ids=["zero-analytic", "zero-analytic-exact", "zero-stderr", "zero-stderr-exact"])
+def test_compare_rates_on_a_zero_rate_or_stderr(analytic, rate, stderr, rel, z):
+    cmp = compare_rates(analytic, TailFit(rate, stderr, (0.0, 1.0), 600))
+    assert (cmp.rel_error, cmp.z_score) == (rel, z)
+    assert cmp.passed == (rel <= 0.1)
 
 
 def test_fits_agree_overlap_rule():
