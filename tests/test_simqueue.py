@@ -15,6 +15,7 @@ from queuedecay.dist import (
     Deterministic,
     Erlang,
     Exponential,
+    FiniteMixture,
     UniformInterval,
     sample_array,
     stream,
@@ -574,6 +575,31 @@ def test_cycle_psi_detects_wrong_service_rate():
     est = cycle_psi(slow, 0.25, 500.0, 2000, 12345)
     target = 0.5 * 0.25 / (1.0 - 0.25)
     assert abs(est / target - 1.0) > 0.05
+
+
+# float.hex of cycle_psi and empirical_psi at horizon 200 with 50
+# replications, seed 5; the figures pin both estimators bit for bit
+PSI_MODELS = {
+    "mm1": (MM1, 0.25),
+    "erlang-uniform": (QueueModel(Erlang(3, 1.5), UniformInterval(0.0, 1.5)), 0.5),
+    "mixture": (QueueModel(
+        FiniteMixture(((0.3, Exponential(2.0)), (0.7, Erlang(2, 1.0)))),
+        FiniteMixture(((0.5, Exponential(2.0)), (0.3, UniformInterval(0.1, 0.9)),
+                       (0.2, Deterministic(0.5))))), 0.3),
+}
+PINNED_PSI = {
+    "mm1": ("0x1.5f567b5433bdep-3", "0x1.35ff9b4346fc7p-3"),
+    "erlang-uniform": ("0x1.b6b0fbe8c84f6p-3", "0x1.a73b7aa49ae40p-3"),
+    "mixture": ("0x1.b81ee47c39e44p-4", "0x1.bcf98f99f2b89p-4"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PSI)
+def test_psi_estimates_match_pinned_bits(name):
+    model, s = PSI_MODELS[name]
+    got = (cycle_psi(model, s, 200.0, 50, 5).hex(),
+           empirical_psi(model, s, 200.0, 50, 5).hex())
+    assert got == PINNED_PSI[name]
 
 
 def test_service_bins_partition():
