@@ -20,6 +20,7 @@ the bracket ends the search already holds.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -591,8 +592,10 @@ def _mixture_draw(weights, draws, rng: np.random.Generator, n: int) -> np.ndarra
     """n draws of a mixture: the selector uniforms first, then one block
     ``draws[j](rng, count)`` per component j in order."""
     u = rng.random(n)
-    idx = np.searchsorted(np.cumsum(weights), u, side="right")
-    idx = np.minimum(idx, len(weights) - 1)
+    # searchsorted(cumsum, u, side="right") clamped to the last component
+    idx = np.zeros(n, dtype=np.intp)
+    for c in np.cumsum(weights)[:-1].tolist():
+        idx += u >= c
     out = np.empty(n, dtype=np.float64)
     for j, draw in enumerate(draws):
         mask = idx == j
@@ -619,6 +622,24 @@ def _first_passage(draw, rng: np.random.Generator, level: float,
             return np.concatenate(parts), float(path[k])
         parts.append(steps)
         total = float(path[-1])
+
+
+def _passages(draw, seed: int, count: int, level: float, chunk: int) -> np.ndarray:
+    """``_first_passage(draw, stream(seed, i), level, chunk)[1]`` for i < count,
+    bitwise.  One cumulative sum over a block of _KEYS first chunks finds
+    every passage they hold; a walk whose first chunk stays at or below
+    the level is walked on alone, from its stream drawn again."""
+    sums = np.empty(count, dtype=np.float64)
+    runs = _stream_run(seed, count)
+    for lo in range(0, count, _KEYS):
+        path = np.cumsum([draw(rng, chunk) for rng in itertools.islice(runs, _KEYS)],
+                         axis=1)
+        over = path > level
+        rows, first = np.arange(len(path)), over.argmax(axis=1)
+        sums[lo:lo + len(path)] = path[rows, first]
+        for r in np.flatnonzero(~over[rows, first]).tolist():
+            sums[lo + r] = _first_passage(draw, stream(seed, lo + r), level, chunk)[1]
+    return sums
 
 
 # each leaf law's JSON tag and fields, in the order to_json writes them;

@@ -336,19 +336,21 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
 def _cycle_excess(theta: float, sb: np.ndarray, a: np.ndarray) -> float:
     # log n - log sum_i exp(s B_i - theta A_i): rises through zero at the
     # root.  SciPy 1.17's log-sum-exp without its array-API wrapper: the
-    # maximal terms apart, and the plain log of the sum if not finite.
-    v = sb - theta * a
+    # maximal terms apart, and the plain log of the sum if not finite.  One
+    # array is made, and shifted and exponentiated in place.
+    e = np.multiply(a, theta)
+    np.subtract(sb, e, out=e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        top = v.max(keepdims=True)
-        at_top = v == top
-        e = np.exp(v - top)
+        top = e.max(keepdims=True)
+        at_top = e == top
+        np.exp(np.subtract(e, top, out=e), out=e)
         e[at_top] = 0.0
         m = at_top.sum(keepdims=True, dtype=np.float64)
         s = e.sum(keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = float((np.log1p(s) + np.log(m) + top)[0])
         if not math.isfinite(out):
-            out = float(np.log(np.exp(v).sum()))
+            out = float(np.log(np.exp(sb - theta * a).sum()))
     return math.log(len(a)) - out
 
 

@@ -9,9 +9,11 @@ holds that share, bar a rare fallback to the whole resample.
 ``is_workload_tail`` estimates P(W > x) by importance sampling: the
 increment walk is tilted at gamma_w, where psi(gamma_w) = gamma_w and
 psi' > 1, so it drifts upward and first passage is certain.  The tilted
-laws come from ``dist._sampler`` and the walk from ``dist._first_passage``;
-levels with gamma_w * x above about 354 are refused, because the squared
-weights the relative error needs underflow there.
+laws come from ``dist._sampler`` and the walks from ``dist._passages``,
+which reads the replications' first chunks in blocks and walks on alone
+only a replication whose first chunk does not pass; levels with
+gamma_w * x above about 354 are refused, because the squared weights the
+relative error needs underflow there.
 
 The bootstrap interval resamples at the customer level and ignores the
 dependence between successive waits, so it is optimistic, and the
@@ -29,8 +31,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dist import (OutOfDomainError, _count, _first_passage, _sampler,
-                   _stream_run, stream)
+from .dist import OutOfDomainError, _count, _passages, _sampler, stream
 from .ratecalc import QueueModel, _psi_slope, gamma_w_detail
 
 
@@ -242,9 +243,9 @@ def is_workload_tail(model: QueueModel, x: float, replications: int,
     def step(rng, n):
         return measure.service(rng, n) - measure.arrival(rng, n)
 
-    estimates = np.empty(replications, dtype=np.float64)
-    for rep, rng in enumerate(_stream_run(seed, replications)):
-        estimates[rep] = math.exp(-nu * _first_passage(step, rng, x, 64)[1])
+    # math.exp, not NumPy's, which differs from it in the last bit
+    estimates = np.array([math.exp(-nu * total) for total in
+                          _passages(step, seed, replications, x, 64).tolist()])
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1)) / math.sqrt(replications)
     return mean, se / mean

@@ -74,7 +74,7 @@ def _crit_priority_cross_checks(quick: bool) -> Tuple[bool, str]:
     guard_ok = lam1 * mgf_deriv(class1, gw) < 1.0
     closed = gw - lam1 * (mgf(class1, gw) - 1.0)
     ok_b = (db.regime == "boundary" and guard_ok
-            and abs(db.rate - closed) <= 1e-7)
+            and abs(db.rate - closed) <= 1e-12 * abs(closed))
     ok = ok_i and ok_b
     return ok, (f"interior rate={di.rate:.10f} regime={di.regime} a={di.a}; "
                 f"boundary rate={db.rate:.10f} vs closed {closed:.10f} "

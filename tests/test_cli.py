@@ -428,6 +428,23 @@ def test_validate_detects_broken_priority_rates(monkeypatch):
     assert not result.passed
 
 
+def test_validate_detects_a_boundary_rate_off_its_closed_form(monkeypatch):
+    # the program meets the closed form to 1.1e-16; a boundary rate 1e-9
+    # relative too large must fail criterion 2
+    real = queuedecay.validate.gamma_w2
+
+    def inflated(model):
+        got = real(model)
+        if got.regime != "boundary":
+            return got
+        return PriorityDecay(rate=got.rate * (1.0 + 1e-9), regime=got.regime,
+                             s_opt=got.s_opt, a=got.a)
+
+    assert queuedecay.validate.run_criterion(2, quick=True).passed
+    monkeypatch.setattr(queuedecay.validate, "gamma_w2", inflated)
+    assert not queuedecay.validate.run_criterion(2, quick=True).passed
+
+
 def test_validate_quick_reports_honest_failure(capsys, monkeypatch):
     # only criterion 2 reads the regime, so exactly that line must fail
     real = queuedecay.validate.gamma_w2

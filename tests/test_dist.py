@@ -21,7 +21,10 @@ from queuedecay.dist import (
     _KEYS,
     _LEAVES,
     _doublings,
+    _first_passage,
     _mgf_gap,
+    _mixture_draw,
+    _passages,
     _sampler,
     _stream_run,
     find_root,
@@ -343,6 +346,45 @@ def test_stream_run_is_the_named_streams(seed):
         count += 1
     assert count == _KEYS + 2
     assert list(_stream_run(seed, 0)) == []
+
+
+def test_passages_cross_a_block_boundary_bitwise():
+    # two-step chunks of a walk with drift 0.5 against a level of 1.0, so
+    # that some walks in each block pass within their first chunk and some
+    # walk on alone
+    draw = _sampler(Exponential(1.0), 0.0)
+    count = _KEYS + 1
+    want = [_first_passage(draw, stream(6, i), 1.0, 2) for i in range(count)]
+    got = _passages(draw, 6, count, 1.0, 2)
+    assert got.tobytes() == np.array([total for _, total in want]).tobytes()
+    walked_on = [len(steps) > 2 for steps, _ in want]
+    assert 0 < sum(walked_on[:_KEYS]) < _KEYS and walked_on[-1]
+
+
+class _Uniforms:
+    # a generator whose uniforms are given
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+@pytest.mark.parametrize("weights", [
+    [0.3, 0.7], [0.1] * 10, [0.05] * 20, [0.7, 0.2, 0.1], [1.0],
+    [0.5, 1e-300, 0.5 - 1e-300]],
+    ids=["two", "sum-below-one", "sum-above-one", "decreasing", "one", "tiny"])
+def test_mixture_selector_is_searchsorted(weights):
+    # each component draws its own index, so the output is the selector
+    cum = np.cumsum(weights)
+    u = np.concatenate([stream(8, 0).random(10_000), cum,
+                        np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    draws = [lambda rng, n, j=j: np.full(n, float(j)) for j in range(len(weights))]
+    got = _mixture_draw(weights, draws, _Uniforms(u), u.size)
+    want = np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", VARIANTS, ids=lambda d: type(d).__name__)

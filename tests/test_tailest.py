@@ -17,6 +17,8 @@ from queuedecay.dist import (
     Exponential,
     FiniteMixture,
     UniformInterval,
+    _first_passage,
+    _passages,
     mgf,
     stream,
 )
@@ -385,6 +387,26 @@ def test_tilted_draws_and_estimates_match_pinned_digests(name):
     h.update(tm.service(rng, 50_000).tobytes())
     h.update(np.array(is_workload_tail(model, 5.0, 200, 9)).tobytes())
     assert h.hexdigest() == TILT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", TILT_MODELS)
+def test_passages_are_the_walks_one_by_one(name):
+    # levels at which no walk, about half of them and every walk (the
+    # highest first-chunk maximum, which no walk passes within its first
+    # chunk) walk on alone from their own streams
+    tm = tilt_measure(TILT_MODELS[name])
+
+    def step(rng, n):
+        return tm.service(rng, n) - tm.arrival(rng, n)
+
+    tops = np.array([np.cumsum(step(stream(9, i), 64)).max() for i in range(200)])
+    walked_on = []
+    for x in (0.0, float(np.median(tops)), float(tops.max())):
+        want = [_first_passage(step, stream(9, i), x, 64) for i in range(200)]
+        got = _passages(step, 9, 200, x, 64)
+        assert got.tobytes() == np.array([total for _, total in want]).tobytes()
+        walked_on.append(sum(len(steps) > 64 for steps, _ in want))
+    assert walked_on[0] == 0 and 0 < walked_on[1] < 200 and walked_on[2] == 200
 
 
 def test_tilt_unavailable_for_unsupported_laws():
