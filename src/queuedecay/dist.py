@@ -11,10 +11,11 @@ every search.  Sampling is inverse transform driven by ``rng.random()``
 so streams are reproducible bit for bit from a seed; a run of substreams
 of one seed is seeded in batches, bitwise as one by one.  Every draw, plain
 or reweighted by exp(theta x), comes from one sampler per law, and every
-first-passage walk from one chunked loop.  One table gives each leaf
-law's JSON tag and fields, read and written.  Every root is found by
-``find_root``: Brent's method, a bitwise port of SciPy's ``brentq`` run on
-the bracket ends the search already holds.
+first-passage walk from one chunked loop; a run of walks reads its first
+chunks as blocks.  One table gives each leaf law's JSON tag and fields,
+read and written.  Every root is found by ``find_root``: Brent's method,
+a bitwise port of SciPy's ``brentq`` run on the bracket ends the search
+already holds.
 """
 
 from __future__ import annotations
