@@ -1,21 +1,21 @@
 """Distribution algebra for nonnegative light-tailed laws.
 
-Declarative specs (exponential, deterministic, uniform interval, Erlang,
-finite mixture) closed under the transforms a single-server queue analysis
-needs: truncation B*1(B<y), conditioning on {B < y} and endpoint-atom
-removal.  Every moment generating function is closed form; no quadrature
-anywhere.  ``masses`` gives the mass below, at and above a point, which
-those transforms and the endpoint-atom dispatch read; ``support`` gives
-the essential infimum and supremum and the mgf abscissa, which bound
-every search.  Sampling is inverse transform driven by ``rng.random()``
-so streams are reproducible bit for bit from a seed; a run of substreams
-of one seed is seeded in batches, bitwise as one by one.  Every draw, plain
-or reweighted by exp(theta x), comes from one sampler per law, and every
-first-passage walk from one chunked loop; a run of walks reads its first
-chunks as blocks.  One table gives each leaf law's JSON tag and fields,
-read and written.  Every root is found by ``find_root``: Brent's method,
-a bitwise port of SciPy's ``brentq`` run on the bracket ends the search
-already holds.
+Declarative specs (deterministic, uniform interval, Erlang, whose shape
+one is the exponential, finite mixture) closed under the transforms a
+single-server queue analysis needs: truncation B*1(B<y), conditioning on
+{B < y} and endpoint-atom removal.  Every moment generating function is
+closed form; no quadrature anywhere.  ``masses`` gives the mass below, at
+and above a point, which those transforms and the endpoint-atom dispatch
+read; ``support`` gives the essential infimum and supremum and the mgf
+abscissa, which bound every search.  Sampling is inverse transform driven
+by ``rng.random()`` so streams are reproducible bit for bit from a seed; a
+run of substreams of one seed is seeded in batches, bitwise as one by one.
+Every draw, plain or reweighted by exp(theta x), comes from one sampler
+per law, and every first-passage walk from one chunked loop; a run of
+walks reads its first chunks as blocks.  One table gives each leaf law's
+JSON tag and fields, read and written.  Every root is found by
+``find_root``: Brent's method, a bitwise port of SciPy's ``brentq`` run on
+the bracket ends the search already holds.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv
@@ -41,15 +41,6 @@ class OutOfRangeError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A search ran out of budget, or met a NaN or an overflow."""
-
-
-@dataclass(frozen=True)
-class Exponential:
-    rate: float
-
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -81,6 +72,14 @@ class Erlang:
             raise ValueError("shape must be a positive integer")
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
+        object.__setattr__(self, "shape", int(self.shape))
+
+
+@dataclass(frozen=True)
+class Exponential(Erlang):
+    """The Erlang law of shape one, under its own name and JSON tag."""
+
+    shape: int = field(default=1, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -104,15 +103,15 @@ class ConditionedBelow:
     """Law of ``base`` given {base < cutoff}.
 
     Derived variant produced by :func:`truncate_below` and
-    :func:`split_endpoint_atom`; base must be Exponential or Erlang
-    (the other variants condition structurally).
+    :func:`split_endpoint_atom`; base must be Erlang, the exponential
+    (shape one) included; the other variants condition structurally.
     """
 
-    base: Union[Exponential, Erlang]
+    base: Erlang
     cutoff: float
 
     def __post_init__(self):
-        if not isinstance(self.base, (Exponential, Erlang)):
+        if not isinstance(self.base, Erlang):
             raise ValueError("base must be Exponential or Erlang")
         if not 0 < self.cutoff < math.inf:
             raise ValueError("cutoff must be positive and finite")
@@ -120,14 +119,8 @@ class ConditionedBelow:
 
 # a PEP 604 union: typing.Union caches its aliases process-wide, which
 # would keep the classes of every earlier import of this module alive
-DistributionSpec = (Exponential | Deterministic | UniformInterval | Erlang
-                    | FiniteMixture | ConditionedBelow)
-
-
-def _erlang_params(base) -> Tuple[int, float]:
-    if isinstance(base, Exponential):
-        return 1, base.rate
-    return base.shape, base.rate
+DistributionSpec = (Deterministic | UniformInterval | Erlang | FiniteMixture
+                    | ConditionedBelow)
 
 
 def _per_spec(compute):
@@ -147,7 +140,7 @@ def _per_spec(compute):
 
 @_per_spec
 def _cond_parts(d: ConditionedBelow) -> Tuple[int, float, float]:
-    k, rate = _erlang_params(d.base)
+    k, rate = d.base.shape, d.base.rate
     return k, rate, float(gammainc(k, rate * d.cutoff))
 
 
@@ -181,7 +174,7 @@ def support(d: DistributionSpec) -> Tuple[float, float, float]:
     """(ess inf, ess sup, abscissa of convergence of the mgf), the variant
     dispatched once; the abscissa is +inf for bounded support.  A mixture
     takes the min, the max and the min over its components."""
-    if isinstance(d, (Exponential, Erlang)):
+    if isinstance(d, Erlang):
         return 0.0, math.inf, d.rate
     if isinstance(d, Deterministic):
         return d.value, d.value, math.inf
@@ -204,7 +197,7 @@ def mgf(d: DistributionSpec, s: float) -> float:
 
 
 def _mgf(d, s):
-    if isinstance(d, Exponential):
+    if isinstance(d, Exponential):   # the hottest kernel: no pow for shape one
         return d.rate / (d.rate - s)
     if isinstance(d, Deterministic):
         return math.exp(s * d.value)
@@ -235,7 +228,7 @@ def _uniform_slope(x: float) -> float:
 
 
 def _mgf_deriv(d, s):
-    if isinstance(d, Exponential):
+    if isinstance(d, Exponential):   # rounds apart from the shape-one Erlang form
         return d.rate / (d.rate - s) ** 2
     if isinstance(d, Deterministic):
         return d.value * math.exp(s * d.value)
@@ -255,8 +248,6 @@ def _mgf_deriv(d, s):
 
 def moments(d: DistributionSpec) -> Tuple[float, float]:
     """(mean, variance) in closed form."""
-    if isinstance(d, Exponential):
-        return 1.0 / d.rate, 1.0 / d.rate ** 2
     if isinstance(d, Deterministic):
         return d.value, 0.0
     if isinstance(d, UniformInterval):
@@ -305,12 +296,12 @@ def masses(d: DistributionSpec, x: float) -> Tuple[float, float, float]:
                                   - float(gammaincc(k, rate * d.cutoff))) / den
     if not x > 0:
         return 0.0, 0.0, 1.0
-    k, rate = _erlang_params(d)
+    # an exponential keeps expm1's rounding, which gammainc(1, .) does not share
     if isinstance(d, Exponential):
-        below = -math.expm1(-rate * x)
+        below = -math.expm1(-d.rate * x)
     else:
-        below = float(gammainc(k, rate * x))
-    return below, 0.0, float(gammaincc(k, rate * x))
+        below = float(gammainc(d.shape, d.rate * x))
+    return below, 0.0, float(gammaincc(d.shape, d.rate * x))
 
 
 _RTOL = 4 * sys.float_info.epsilon
@@ -435,7 +426,7 @@ def inverse_mgf_neg(d: DistributionSpec, v: float) -> float:
 
 def _condition_below(d: DistributionSpec, y: float) -> DistributionSpec:
     # law of X given {X < y}; caller guarantees P(X < y) > 0
-    if isinstance(d, (Exponential, Erlang)):
+    if isinstance(d, Erlang):
         return ConditionedBelow(d, y)
     if isinstance(d, Deterministic):
         return d
@@ -552,7 +543,7 @@ def _sampler(d: DistributionSpec, theta: float):
         return functools.partial(_mixture_draw, [w / total for w in weights],
                                  [_sampler(c, theta) for _, c in d.components])
     base = d.base if isinstance(d, ConditionedBelow) else d
-    k, rate = _erlang_params(base)
+    k, rate = base.shape, base.rate
     cutoff = support(d)[1]
     if k == 1 and cutoff < math.inf:
         return functools.partial(_window_draw, 0.0, cutoff, theta - rate)
@@ -713,7 +704,7 @@ def _from_json(obj, levels: int) -> DistributionSpec:
                              for f in fields))
         if t == "conditioned_below":
             base = _from_json(obj["base"], levels - 1)
-            if not isinstance(base, (Exponential, Erlang)):
+            if not isinstance(base, Erlang):
                 raise ValueError("conditioned_below base must be exponential or erlang")
             return ConditionedBelow(base, json_number(obj, "cutoff"))
         if t == "mixture":

@@ -194,13 +194,11 @@ def _crit_sample_path_identities(quick: bool) -> Tuple[bool, str]:
     split = QueueModel(Exponential(1.0),
                        split=Split(0.5, UniformInterval(0.0, 0.5),
                                    Deterministic(1.0)))
-    pr = run(split, Discipline.PRIO_PR, n, 12345)
-    np_run = run(split, Discipline.PRIO_NP, n, 12345)
+    outs = {d: run(split, d, n, 12345) for d in Discipline}
+    pr, np_run = outs[Discipline.PRIO_PR], outs[Discipline.PRIO_NP]
     two = pr.customer_class == 2
     ok_prio = np.array_equal(pr.first_service_start[two],
                              np_run.first_service_start[two])
-
-    outs = {d: run(split, d, n, 12345) for d in Discipline}
     fifo = outs[Discipline.FIFO]
     ok_load = all(np.array_equal(fifo.workload_at_arrival,
                                  o.workload_at_arrival) for o in outs.values())

@@ -485,6 +485,56 @@ def test_constructor_validation():
         Deterministic(-1.0)
 
 
+def test_an_erlang_shape_reads_as_an_int():
+    # a float or NumPy integer shape is stored as the int it equals, so
+    # every map that takes it as a count, and JSON, accept the law
+    from queuedecay.ratecalc import gamma_p_trunc, y_star
+    from queuedecay.simqueue import Discipline, run
+    from queuedecay.tailest import is_workload_tail
+    for shape in (2.0, np.int64(2)):
+        d = Erlang(shape, 4.0)
+        assert type(d.shape) is int and d == Erlang(2, 4.0)
+        assert json.dumps(to_json(d)) == '{"type": "erlang", "shape": 2, "rate": 4.0}'
+        got = sample_array(d, stream(5, 0), 1000)
+        assert np.array_equal(got, sample_array(Erlang(2, 4.0), stream(5, 0), 1000))
+        model = QueueModel(Erlang(shape, 2.0), d)
+        ints = QueueModel(Erlang(2, 2.0), Erlang(2, 4.0))
+        assert gamma_p_trunc(model, 1.0) == gamma_p_trunc(ints, 1.0)
+        assert y_star(model) == y_star(ints)
+        assert np.array_equal(run(model, Discipline.SRPT_PR, 500, 7).departure_time,
+                              run(ints, Discipline.SRPT_PR, 500, 7).departure_time)
+        assert is_workload_tail(model, 2.0, 50, 3) == is_workload_tail(ints, 2.0, 50, 3)
+    with pytest.raises(ValueError, match="shape must be a positive integer"):
+        Erlang(2.5, 1.0)
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+def test_exponential_is_the_shape_one_erlang(r):
+    e, one = Exponential(r), Erlang(1, r)
+    assert isinstance(e, Erlang) and e != one and repr(e) == f"Exponential(rate={r!r})"
+    assert to_json(e) == {"type": "exponential", "rate": r}
+    back = from_json(to_json(e))
+    assert type(back) is Exponential and back == e
+    assert support(e) == support(one) and moments(e) == moments(one)
+    for s in (-3.0, -0.5, 0.0, 0.25 * r, 0.9 * r):
+        assert mgf(e, s) == mgf(one, s)
+        # the exponential's own derivative, which shape one's formula rounds apart from
+        assert mgf_deriv(e, s) == r / (r - s) ** 2
+    for x in (1e-3, 0.5, 2.0, 40.0):
+        # its own lower mass, which gammainc(1, .) rounds apart from
+        assert masses(e, x) == (-math.expm1(-r * x), 0.0, masses(one, x)[2])
+    for theta in (0.0, 0.5 * r, -r):    # at 0.0 these are sample_array's draws
+        got = _sampler(e, theta)(stream(29, 0), 2000)
+        want = _sampler(one, theta)(stream(29, 0), 2000)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("rate", [0.0, math.inf, math.nan])
+def test_exponential_rejects_a_rate_as_erlang_does(rate):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        Exponential(rate)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Exponential(math.inf),
     lambda: Deterministic(math.inf),
