@@ -43,11 +43,31 @@ class NumericalFailure(RuntimeError):
     """A search ran out of budget, or met a NaN or an overflow."""
 
 
+def _real(name: str, value) -> float:
+    """A number field as a Python float; a bool, a value that is not a
+    number (numpy scalars are) or an int beyond the float range is a
+    ValueError.  inf and NaN pass, for the caller's range check."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (float, int, np.floating, np.integer))):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+
+
+def _set_reals(obj, *names: str) -> None:
+    # store each named field of a frozen dataclass as _real reads it
+    for name in names:
+        object.__setattr__(obj, name, _real(name, getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class Deterministic:
     value: float
 
     def __post_init__(self):
+        _set_reals(self, "value")
         if not 0 <= self.value < math.inf:
             raise ValueError("value must be nonnegative and finite")
 
@@ -58,6 +78,7 @@ class UniformInterval:
     hi: float
 
     def __post_init__(self):
+        _set_reals(self, "lo", "hi")
         if not (0 <= self.lo < self.hi < math.inf):
             raise ValueError("need 0 <= lo < hi < inf")
 
@@ -68,8 +89,11 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if not 1 <= self.shape < math.inf or self.shape != int(self.shape):
+        # integral as given: through a float, 2**53 + 1 would read 2**53
+        if (not 1 <= _real("shape", self.shape) < math.inf
+                or self.shape != int(self.shape)):
             raise ValueError("shape must be a positive integer")
+        _set_reals(self, "rate")
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
         object.__setattr__(self, "shape", int(self.shape))
@@ -87,7 +111,7 @@ class FiniteMixture:
     components: Tuple[Tuple[float, "DistributionSpec"], ...]
 
     def __post_init__(self):
-        comps = tuple((float(w), d) for w, d in self.components)
+        comps = tuple((_real("weight", w), d) for w, d in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
         for w, _ in comps:
@@ -113,6 +137,7 @@ class ConditionedBelow:
     def __post_init__(self):
         if not isinstance(self.base, Erlang):
             raise ValueError("base must be Exponential or Erlang")
+        _set_reals(self, "cutoff")
         if not 0 < self.cutoff < math.inf:
             raise ValueError("cutoff must be positive and finite")
 
@@ -634,8 +659,7 @@ def _passages(draw, seed: int, count: int, level: float, chunk: int) -> np.ndarr
     return sums
 
 
-# each leaf law's JSON tag and fields, in the order to_json writes them;
-# an Erlang's shape is the one integral field
+# each leaf law's JSON tag and fields, in the order to_json writes them
 _LEAVES = {
     Exponential: ("exponential", ("rate",)),
     Deterministic: ("deterministic", ("value",)),
@@ -656,21 +680,6 @@ def to_json(d: DistributionSpec) -> dict:
                            for w, c in d.components]}
 
 
-def json_number(obj: dict, key: str, integral: bool = False):
-    """Field ``key`` of a JSON object as a float, or as an int when
-    ``integral``; a bool, a non-number, a value that is not finite or a
-    fractional integral field is a ValueError."""
-    value = obj[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    if not integral:
-        return float(value)
-    if value != int(value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _count(name: str, value, least: int) -> int:
     """A count argument as an int; a bool, a value that is not an integer
     (numpy integers are) or one below ``least`` is a ValueError."""
@@ -686,7 +695,8 @@ _MAX_NESTING = 100
 
 def from_json(obj: dict) -> DistributionSpec:
     """Parse the JSON object form; raises ValueError on malformed input,
-    including a law nested more than _MAX_NESTING levels deep."""
+    including a law nested more than _MAX_NESTING levels deep.  Only the
+    structure is read here; each constructor checks its own fields."""
     return _from_json(obj, _MAX_NESTING)
 
 
@@ -700,17 +710,12 @@ def _from_json(obj, levels: int) -> DistributionSpec:
         # compared, not looked up: a tag such as [1] is no dict key
         for cls, (tag, fields) in _LEAVES.items():
             if t == tag:
-                return cls(*(json_number(obj, f, integral=f == "shape")
-                             for f in fields))
+                return cls(*(obj[f] for f in fields))
         if t == "conditioned_below":
-            base = _from_json(obj["base"], levels - 1)
-            if not isinstance(base, Erlang):
-                raise ValueError("conditioned_below base must be exponential or erlang")
-            return ConditionedBelow(base, json_number(obj, "cutoff"))
+            return ConditionedBelow(_from_json(obj["base"], levels - 1), obj["cutoff"])
         if t == "mixture":
-            comps = tuple((json_number(c, "weight"), _from_json(c["dist"], levels - 1))
-                          for c in obj["components"])
-            return FiniteMixture(comps)
+            return FiniteMixture(tuple((c["weight"], _from_json(c["dist"], levels - 1))
+                                       for c in obj["components"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {t!r} distribution: {exc!r}") from exc
     raise ValueError(f"unknown distribution type {t!r}")

@@ -23,11 +23,11 @@ from .dist import (
     OutOfDomainError,
     OutOfRangeError,
     _doublings,
+    _set_reals,
     _value,
     find_root,
     from_json,
     inverse_mgf_neg,
-    json_number,
     masses,
     mgf,
     mgf_deriv,
@@ -58,6 +58,7 @@ class Split:
     class2: DistributionSpec
 
     def __post_init__(self):
+        _set_reals(self, "p")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly inside (0, 1)")
 
@@ -68,8 +69,9 @@ class QueueModel:
 
     With a split, the full-system service law is always the mixture
     p * class1 + (1-p) * class2 and is derived automatically.
-    Construction enforces stability (load below one) and that service
-    can exceed an inter-arrival time at all.
+    Construction enforces means and variances in the float range,
+    stability (load below one) and that service can exceed an
+    inter-arrival time at all.
     """
 
     arrival: DistributionSpec
@@ -86,8 +88,19 @@ class QueueModel:
                 raise ValueError("explicit service law must match the split mixture")
         if self.service is None:
             raise ValueError("provide a service law or a split")
-        mean_a = moments(self.arrival)[0]
-        mean_b = moments(self.service)[0]
+        means = []
+        for name in ("arrival", "service"):
+            # an arithmetic error here, or an overflow to inf, would fail
+            # later, deep inside the first computation that uses the law
+            try:
+                m = moments(getattr(self, name))
+            except ArithmeticError:
+                m = (math.inf,)
+            if not all(map(math.isfinite, m)):
+                raise ValueError(f"{name} law has a mean or variance outside the "
+                                 f"floating-point range")
+            means.append(m[0])
+        mean_a, mean_b = means
         if not mean_b < mean_a:
             load = mean_b / mean_a if mean_a > 0 else math.inf
             raise UnstableError(f"load {load:.6g} is not below 1")
@@ -97,10 +110,6 @@ class QueueModel:
     @property
     def rho(self) -> float:
         return moments(self.service)[0] / moments(self.arrival)[0]
-
-    @property
-    def arrival_rate(self) -> float:
-        return 1.0 / moments(self.arrival)[0]
 
 
 @dataclass(frozen=True)
@@ -366,7 +375,7 @@ def heavy_traffic(model: QueueModel) -> HeavyTrafficApprox:
     rho = model.rho
     gw2 = None
     if model.split is not None:
-        rho1 = model.split.p * moments(model.split.class1)[0] * model.arrival_rate
+        rho1 = model.split.p * moments(model.split.class1)[0] * (1.0 / mean_a)
         gw2 = k * (1.0 - rho1) * (1.0 - rho) * mean_a
     return HeavyTrafficApprox(k, k * (1.0 - rho) * mean_a, gw2)
 
@@ -402,36 +411,21 @@ def model_to_json(model: QueueModel) -> dict:
             "service": to_json(model.service)}
 
 
-def _law_from_json(obj, name: str) -> DistributionSpec:
-    # a law whose mean or variance leaves the float range (an arithmetic
-    # error here, or an overflow to inf) fails later, deep inside the
-    # first computation that uses it
-    d = from_json(obj)
-    try:
-        in_range = all(map(math.isfinite, moments(d)))
-    except ArithmeticError:
-        in_range = False
-    if not in_range:
-        raise ValueError(f"{name} law has a mean or variance outside the "
-                         f"floating-point range")
-    return d
-
-
 def model_from_json(obj: dict) -> QueueModel:
     """Parse {"arrival": DIST, "service": DIST} or
     {"arrival": DIST, "split": {"p", "class1", "class2"}}; a file giving
-    both is QueueModel's to judge, like any other pair of laws."""
+    both is QueueModel's to judge, like any other pair of laws.  Only the
+    structure is read here; the constructors check every value."""
     if not isinstance(obj, dict) or "arrival" not in obj:
         raise ValueError("model JSON needs an 'arrival' law")
-    arrival = _law_from_json(obj["arrival"], "arrival")
+    arrival = from_json(obj["arrival"])
     service = split = None
     if obj.get("service") is not None:
-        service = _law_from_json(obj["service"], "service")
+        service = from_json(obj["service"])
     if obj.get("split") is not None:
         sp = obj["split"]
         try:
-            split = Split(json_number(sp, "p"), _law_from_json(sp["class1"], "class1"),
-                          _law_from_json(sp["class2"], "class2"))
+            split = Split(sp["p"], from_json(sp["class1"]), from_json(sp["class2"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed split: {exc!r}") from exc
     return QueueModel(arrival, service, split)

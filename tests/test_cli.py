@@ -523,6 +523,11 @@ BAD_MODEL_FILES = {
                            "service": EXP1}, 1),
     "vanishing-slope": ({"arrival": {"type": "exponential", "rate": 1e-150},
                          "service": {"type": "deterministic", "value": 5e149}}, 3),
+    # each class is in range, but the service mixture's second moment is not
+    "split-with-overflowing-variance": (
+        {"arrival": {"type": "deterministic", "value": 1e201},
+         "split": {"p": 0.5, "class1": {"type": "deterministic", "value": 1e200},
+                   "class2": EXP1}}, 1),
     "service-disagrees-with-split": (
         dict(SPLIT, service={"type": "exponential", "rate": 5.0}), 1),
 }

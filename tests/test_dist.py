@@ -41,7 +41,7 @@ from queuedecay.dist import (
     to_json,
     truncate_below,
 )
-from queuedecay.ratecalc import QueueModel, Split, _lundberg, _slope_excess
+from queuedecay.ratecalc import QueueModel, Split, _lundberg, _slope_excess, model_to_json
 
 VARIANTS = [
     Exponential(0.7),
@@ -433,15 +433,14 @@ def test_from_json_rejects_garbage():
     ({"type": None, "rate": 1.0}, "unknown distribution type None"),
     ({"type": "erlang", "rate": 1.0},
      "malformed 'erlang' distribution: KeyError('shape')"),
-    ({"type": "erlang", "shape": 2.5, "rate": 1.0},
-     "shape must be an integer, got 2.5"),
+    ({"type": "erlang", "shape": 2.5, "rate": 1.0}, "shape must be a positive integer"),
     ({"type": "exponential", "rate": True}, "rate must be a finite number, got True"),
     ({"type": "uniform", "lo": False, "hi": 1.0},
      "lo must be a finite number, got False"),
     ({"type": "uniform", "lo": 0.0}, "malformed 'uniform' distribution: KeyError('hi')"),
     ({"type": "cauchy"}, "unknown distribution type 'cauchy'"),
     ({"type": "conditioned_below", "base": {"type": "uniform", "lo": 0, "hi": 1},
-      "cutoff": 0.5}, "conditioned_below base must be exponential or erlang"),
+      "cutoff": 0.5}, "base must be Exponential or Erlang"),
 ])
 def test_from_json_error_texts(obj, message):
     with pytest.raises(ValueError) as info:
@@ -506,6 +505,8 @@ def test_an_erlang_shape_reads_as_an_int():
         assert is_workload_tail(model, 2.0, 50, 3) == is_workload_tail(ints, 2.0, 50, 3)
     with pytest.raises(ValueError, match="shape must be a positive integer"):
         Erlang(2.5, 1.0)
+    # judged as given: through a float this shape would read 2**53
+    assert Erlang(2 ** 53 + 1, 1.0).shape == 2 ** 53 + 1
 
 
 @pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
@@ -549,7 +550,34 @@ def test_constructors_reject_infinite_fields(build):
         build()
 
 
+@pytest.mark.parametrize("doc", [
+    lambda f: to_json(Exponential(f(2.0))),
+    lambda f: to_json(Deterministic(f(1.5))),
+    lambda f: to_json(UniformInterval(f(0.25), f(2.0))),
+    lambda f: to_json(Erlang(3, f(2.0))),
+    lambda f: to_json(ConditionedBelow(Exponential(1.0), f(0.5))),
+    lambda f: to_json(FiniteMixture(((f(0.5), Exponential(1.0)),
+                                     (f(0.5), Deterministic(1.0))))),
+    lambda f: model_to_json(QueueModel(Exponential(1.0), split=Split(
+        f(0.5), Exponential(4.0), Exponential(4.0)))),
+], ids=["exponential", "deterministic", "uniform", "erlang", "conditioned-below",
+        "mixture-weight", "split-p"])
+def test_numpy_float_fields_are_stored_as_floats(doc):
+    assert json.dumps(doc(np.float32)) == json.dumps(doc(float))
+
+
 @pytest.mark.parametrize("call, error, message", [
+    (lambda: Exponential(True), ValueError, "rate must be a finite number, got True"),
+    (lambda: Erlang(True, 1.0), ValueError, "shape must be a finite number, got True"),
+    (lambda: Deterministic("1"), ValueError, "value must be a finite number, got '1'"),
+    (lambda: UniformInterval(0, 10 ** 400), ValueError,
+     "hi must be a finite number, got 1000"),
+    (lambda: ConditionedBelow(Exponential(1.0), True), ValueError,
+     "cutoff must be a finite number, got True"),
+    (lambda: FiniteMixture((("0.5", Exponential(1.0)), (0.5, Exponential(2.0)))),
+     ValueError, "weight must be a finite number, got '0.5'"),
+    (lambda: Split("0.5", Exponential(1.0), Exponential(2.0)), ValueError,
+     "p must be a finite number, got '0.5'"),
     (lambda: FiniteMixture(()), ValueError, "at least one component"),
     (lambda: FiniteMixture(((0.0, Exponential(1.0)), (1.0, Exponential(2.0)))),
      ValueError, r"weights must lie in \(0, 1\]"),
@@ -558,7 +586,8 @@ def test_constructors_reject_infinite_fields(build):
     (lambda: mgf_deriv(Exponential(1.0), 1.0), OutOfDomainError, "abscissa"),
     (lambda: inverse_mgf_neg(Exponential(1.0), 1e-320), OutOfRangeError,
      "too close to the infimum"),
-], ids=["empty-mixture", "zero-weight", "conditioned-uniform",
+], ids=["bool-rate", "bool-shape", "string-value", "int-beyond-floats",
+        "bool-cutoff", "string-weight", "string-split-p", "empty-mixture", "zero-weight", "conditioned-uniform",
         "mgf-deriv-at-the-abscissa", "inverse-below-the-infimum"])
 def test_input_checks_raise_their_messages(call, error, message):
     with pytest.raises(error, match=message):

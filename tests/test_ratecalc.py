@@ -285,7 +285,14 @@ def test_gamma_p_trunc_monotone_to_gamma_p():
     (lambda: psi(MM1.arrival, MM1.service, -1.0), "s must be nonnegative"),
     (lambda: gamma_w2(MM1), "model has no class split"),
     (lambda: model_from_json([]), "model JSON needs an 'arrival' law"),
-], ids=["no-service", "negative-s", "no-split", "no-arrival"])
+    # rate ** 2 underflows to 0 in the variance, or to a subnormal that
+    # makes it inf, which K = 2 / (var A + var B) reads as 0
+    (lambda: QueueModel(Exponential(1e-300), Exponential(1.0)),
+     "arrival law has a mean or variance outside the floating-point range"),
+    (lambda: heavy_traffic(QueueModel(Exponential(1e-160), Exponential(1.0))),
+     "arrival law has a mean or variance outside the floating-point range"),
+], ids=["no-service", "negative-s", "no-split", "no-arrival", "underflowing-variance",
+        "infinite-variance"])
 def test_input_checks_raise_their_messages(call, message):
     with pytest.raises(ValueError, match=message):
         call()
