@@ -47,6 +47,8 @@ def _real(name: str, value) -> float:
     """A number field as a Python float; a bool, a value that is not a
     number (numpy scalars are) or an int beyond the float range is a
     ValueError.  inf and NaN pass, for the caller's range check."""
+    if type(value) is float:
+        return value
     if (isinstance(value, bool)
             or not isinstance(value, (float, int, np.floating, np.integer))):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -56,18 +58,12 @@ def _real(name: str, value) -> float:
         raise ValueError(f"{name} must be a finite number, got {value!r}") from None
 
 
-def _set_reals(obj, *names: str) -> None:
-    # store each named field of a frozen dataclass as _real reads it
-    for name in names:
-        object.__setattr__(obj, name, _real(name, getattr(obj, name)))
-
-
 @dataclass(frozen=True)
 class Deterministic:
     value: float
 
     def __post_init__(self):
-        _set_reals(self, "value")
+        object.__setattr__(self, "value", _real("value", self.value))
         if not 0 <= self.value < math.inf:
             raise ValueError("value must be nonnegative and finite")
 
@@ -78,7 +74,8 @@ class UniformInterval:
     hi: float
 
     def __post_init__(self):
-        _set_reals(self, "lo", "hi")
+        object.__setattr__(self, "lo", _real("lo", self.lo))
+        object.__setattr__(self, "hi", _real("hi", self.hi))
         if not (0 <= self.lo < self.hi < math.inf):
             raise ValueError("need 0 <= lo < hi < inf")
 
@@ -93,7 +90,7 @@ class Erlang:
         if (not 1 <= _real("shape", self.shape) < math.inf
                 or self.shape != int(self.shape)):
             raise ValueError("shape must be a positive integer")
-        _set_reals(self, "rate")
+        object.__setattr__(self, "rate", _real("rate", self.rate))
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
         object.__setattr__(self, "shape", int(self.shape))
@@ -137,7 +134,7 @@ class ConditionedBelow:
     def __post_init__(self):
         if not isinstance(self.base, Erlang):
             raise ValueError("base must be Exponential or Erlang")
-        _set_reals(self, "cutoff")
+        object.__setattr__(self, "cutoff", _real("cutoff", self.cutoff))
         if not 0 < self.cutoff < math.inf:
             raise ValueError("cutoff must be positive and finite")
 

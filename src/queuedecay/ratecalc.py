@@ -23,7 +23,7 @@ from .dist import (
     OutOfDomainError,
     OutOfRangeError,
     _doublings,
-    _set_reals,
+    _real,
     _value,
     find_root,
     from_json,
@@ -58,7 +58,7 @@ class Split:
     class2: DistributionSpec
 
     def __post_init__(self):
-        _set_reals(self, "p")
+        object.__setattr__(self, "p", _real("p", self.p))
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly inside (0, 1)")
 
