@@ -587,8 +587,9 @@ def test_numpy_float_fields_are_stored_as_floats(doc):
     (lambda: inverse_mgf_neg(Exponential(1.0), 1e-320), OutOfRangeError,
      "too close to the infimum"),
 ], ids=["bool-rate", "bool-shape", "string-value", "int-beyond-floats",
-        "bool-cutoff", "string-weight", "string-split-p", "empty-mixture", "zero-weight", "conditioned-uniform",
-        "mgf-deriv-at-the-abscissa", "inverse-below-the-infimum"])
+        "bool-cutoff", "string-weight", "string-split-p", "empty-mixture",
+        "zero-weight", "conditioned-uniform", "mgf-deriv-at-the-abscissa",
+        "inverse-below-the-infimum"])
 def test_input_checks_raise_their_messages(call, error, message):
     with pytest.raises(error, match=message):
         call()
