@@ -91,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser(
         "validate", help="run the built-in acceptance suite")
-    p_val.add_argument("--quick", action="store_true",
-                       help="downscale simulation criteria to 1e5 customers "
-                            "with widened tolerances")
     p_val.set_defaults(run=cmd_validate)
     return parser
 
@@ -273,11 +270,10 @@ def cmd_ystar_curve(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def cmd_validate(args: argparse.Namespace) -> Tuple[str, int]:
-    results = run_all(quick=args.quick)
+    results = run_all()
     lines = [r.line() for r in results]
     passed = sum(r.passed for r in results)
-    lines.append(f"passed {passed}/{len(results)}"
-                 + (" (quick mode)" if args.quick else ""))
+    lines.append(f"passed {passed}/{len(results)}")
     text = "\n".join(lines) + "\n"
     if any(r.numerical_failure for r in results):
         return text, EXIT_NUMERICAL

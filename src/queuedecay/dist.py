@@ -111,9 +111,11 @@ class FiniteMixture:
         comps = tuple((_real("weight", w), d) for w, d in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        for w, _ in comps:
+        for w, d in comps:
             if not (0 < w <= 1):
                 raise ValueError("weights must lie in (0, 1]")
+            if not isinstance(d, DistributionSpec):
+                raise ValueError(f"component must be a distribution, got {d!r}")
         if abs(math.fsum(w for w, _ in comps) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "components", comps)

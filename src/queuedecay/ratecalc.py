@@ -90,10 +90,13 @@ class QueueModel:
             raise ValueError("provide a service law or a split")
         means = []
         for name in ("arrival", "service"):
+            law = getattr(self, name)
+            if not isinstance(law, DistributionSpec):
+                raise ValueError(f"{name} must be a distribution, got {law!r}")
             # an arithmetic error here, or an overflow to inf, would fail
             # later, deep inside the first computation that uses the law
             try:
-                m = moments(getattr(self, name))
+                m = moments(law)
             except ArithmeticError:
                 m = (math.inf,)
             if not all(map(math.isfinite, m)):

@@ -37,8 +37,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .dist import (_count, _doublings, _first_passage, _stream_run, _value,
-                   find_root, sample_array, stream)
+from .dist import (_count, _doublings, _first_passage, _real, _stream_run,
+                   _value, find_root, sample_array, stream)
 from .ratecalc import NumericalFailure, QueueModel
 
 
@@ -180,6 +180,7 @@ def run(model: QueueModel, discipline: Discipline, n: int, seed: int,
     arrays (first service start, departure) are the discipline's own.
     """
     n = _count("n", n, 1)
+    warmup_fraction = _real("warmup_fraction", warmup_fraction)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must lie in [0, 1)")
     if not isinstance(discipline, Discipline):
@@ -291,6 +292,7 @@ def empirical_psi(model: QueueModel, s: float, horizon: float,
     like exp(t (psi(2s) - 2 psi(s))), so the plain average is unusable
     (biased low at any feasible replication count) once that exponent is
     large; ``cycle_psi`` stays accurate there."""
+    s, horizon = _real("s", s), _real("horizon", horizon)
     terms = []
     for rng, g in _paths(model, horizon, replications, seed):
         work = float(sample_array(model.service, rng, len(g) - 1).sum())
@@ -316,6 +318,7 @@ def cycle_psi(model: QueueModel, s: float, horizon: float,
     the inspection-paradox bias of stopping at N(t).  Unlike the plain
     average of exp(s X(t)) this stays accurate at long horizons (Duffy
     and Metcalfe, J. Appl. Probab. 42, 2005)."""
+    s, horizon = _real("s", s), _real("horizon", horizon)
     paths = _paths(model, horizon, replications, seed)
     if s < 0:
         raise ValueError("s must be nonnegative")
@@ -370,6 +373,7 @@ def _paths(model, horizon, replications, seed):
 def service_bins(out: SimOutput, width: float):
     """Post-warmup records grouped by service-time bin of the given width;
     returns a list of (lo, hi, index-array into the post-warmup slice)."""
+    width = _real("width", width)
     if not 0 < width < math.inf:
         raise ValueError("width must be positive and finite")
     svc = out.service_time[out.kept()]

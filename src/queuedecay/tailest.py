@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dist import OutOfDomainError, _count, _passages, _sampler, stream
+from .dist import OutOfDomainError, _count, _passages, _real, _sampler, stream
 from .ratecalc import QueueModel, _psi_slope, gamma_w_detail
 
 
@@ -115,6 +115,7 @@ def fit_decay(samples, lo_quantile: float = 0.99, min_points: int = 500,
         raise ValueError("samples must be nonnegative")
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
+    lo_quantile = _real("lo_quantile", lo_quantile)
     if not 0.0 < lo_quantile < 1.0:
         raise ValueError("lo_quantile must lie in (0, 1)")
     bootstrap = _count("bootstrap", bootstrap, 0)
@@ -178,14 +179,13 @@ def compare_rates(analytic: float, fitted: TailFit,
                           tolerance=tolerance, passed=abs(rel) <= tolerance)
 
 
-def fits_agree(first: TailFit, second: TailFit,
-               rel_floor: float = 0.02) -> bool:
+def fits_agree(first: TailFit, second: TailFit) -> bool:
     """Joint-interval agreement: each rate gets the interval
-    rate +- max(4 * stderr, rel_floor * rate); the fits agree when the
+    rate +- max(4 * stderr, 0.02 * rate); the fits agree when the
     intervals overlap.  The relative floor covers the downward bias of
     the regression stderr on dependent ccdf points."""
-    h1 = max(4.0 * first.stderr, rel_floor * abs(first.rate))
-    h2 = max(4.0 * second.stderr, rel_floor * abs(second.rate))
+    h1 = max(4.0 * first.stderr, 0.02 * abs(first.rate))
+    h2 = max(4.0 * second.stderr, 0.02 * abs(second.rate))
     return (first.rate - h1 <= second.rate + h2
             and second.rate - h2 <= first.rate + h1)
 
@@ -231,6 +231,7 @@ def is_workload_tail(model: QueueModel, x: float, replications: int,
     the measure tilted at the workload decay rate until first passage over
     x, then weighs the path by exp(-gamma_w * S_tau).  A level where
     exp(-2 gamma_w x) is below the smallest normal float is a ValueError."""
+    x = _real("x", x)
     if not 0 <= x < math.inf:
         raise ValueError("x must be finite and nonnegative")
     replications = _count("replications", replications, 2)

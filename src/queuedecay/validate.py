@@ -3,11 +3,8 @@
 Ten numbered criteria cross-check the analytic decay rates against
 closed forms, structural orderings, and the simulator.  The CLI
 ``validate`` command and the package's acceptance tests both run this
-list, so a red criterion shows up identically in either place.
-
-Quick mode downscales the simulation criteria (10^5 customers) and
-widens their tolerances; the analytic criteria run unchanged.  The
-downscaling table lives in the README.
+list, so a red criterion shows up identically in either place.  Each
+criterion runs at one scale, within its own wall-clock budget.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ class CriterionResult:
                 f"{self.seconds:8.2f}s  {self.detail}")
 
 
-def _crit_mm1_closed_forms(quick: bool) -> Tuple[bool, str]:
+def _crit_mm1_closed_forms() -> Tuple[bool, str]:
     model = QueueModel(Exponential(0.5), Exponential(1.0))
     gw = gamma_w(model)
     gp = gamma_p(model)
@@ -54,7 +51,7 @@ def _crit_mm1_closed_forms(quick: bool) -> Tuple[bool, str]:
                 f"gamma_p={gp:.12f} (target {gp_true:.12f})")
 
 
-def _crit_priority_cross_checks(quick: bool) -> Tuple[bool, str]:
+def _crit_priority_cross_checks() -> Tuple[bool, str]:
     interior = QueueModel(Exponential(1.0),
                           split=Split(0.5, Exponential(4.0), Exponential(4.0)))
     di = gamma_w2(interior)
@@ -103,7 +100,7 @@ def _random_two_class(rng) -> QueueModel:
                       split=Split(p, law(m1 * scale), law(m2 * scale)))
 
 
-def _crit_ordering(quick: bool) -> Tuple[bool, str]:
+def _crit_ordering() -> Tuple[bool, str]:
     rng = np.random.default_rng(20240817)
     worst = math.inf
     for k in range(100):
@@ -119,7 +116,7 @@ def _crit_ordering(quick: bool) -> Tuple[bool, str]:
     return True, f"100 models strictly ordered, min margin {worst:.3e}"
 
 
-def _crit_q_sweep(quick: bool) -> Tuple[bool, str]:
+def _crit_q_sweep() -> Tuple[bool, str]:
     arrival = Exponential(1.0)
     base = UniformInterval(0.6, 0.8)
     cutoff = 0.8
@@ -143,49 +140,42 @@ def _crit_q_sweep(quick: bool) -> Tuple[bool, str]:
                 f"gamma_w={gw_end:.6f}")
 
 
-def _crit_fifo_simulation(quick: bool) -> Tuple[bool, str]:
+def _crit_fifo_simulation() -> Tuple[bool, str]:
     model = QueueModel(Exponential(0.5), Exponential(1.0))
-    n = 100_000 if quick else 1_000_000
-    fit_tol = 0.20 if quick else 0.10
-    reps = 2_000 if quick else 10_000
-    is_tol = 0.10 if quick else 0.05
-    out = run(model, Discipline.FIFO, n, 12345)
+    out = run(model, Discipline.FIFO, 1_000_000, 12345)
     fit = fit_decay(out.waiting())
-    report = compare_rates(0.5, fit, fit_tol)
+    report = compare_rates(0.5, fit, 0.10)
     target = 0.5 * math.exp(-10.0)
-    est, rel_se = is_workload_tail(model, 20.0, reps, 12345)
-    is_err = abs(est / target - 1.0)
-    ok = report.passed and is_err <= is_tol
+    est, rel_se = is_workload_tail(model, 20.0, 10_000, 12345)
+    ok = report.passed and abs(est / target - 1.0) <= 0.05
     return ok, (f"fit rate={fit.rate:.4f} rel_err={report.rel_error:+.3f} "
-                f"(tol {fit_tol}); IS P(W>20)={est:.4e} rel_err={est/target-1:+.4f} "
-                f"(tol {is_tol}, rel se {rel_se:.3f})")
+                f"(tol {report.tolerance}); IS P(W>20)={est:.4e} "
+                f"rel_err={est/target-1:+.4f} (tol 0.05, rel se {rel_se:.3f})")
 
 
-def _crit_srpt_simulation(quick: bool) -> Tuple[bool, str]:
+def _crit_srpt_simulation() -> Tuple[bool, str]:
     model = QueueModel(Exponential(1.0),
                        FiniteMixture(((0.5, UniformInterval(0.0, 0.5)),
                                       (0.5, Deterministic(1.0)))))
-    n = 100_000 if quick else 2_000_000
-    tol = 0.30 if quick else 0.15
-    floor = 0.05 if quick else 0.02
+    n = 2_000_000
     report = decay_report(model)
     gv, gp, gw = report.gamma_v, report.gamma_p, report.gamma_w
     pr = run(model, Discipline.SRPT_PR, n, 12345)
     fit_pr = fit_decay(pr.sojourn())
     np_ = run(model, Discipline.SRPT_NP, n, 12345)
     fit_np = fit_decay(np_.sojourn())
-    rep = compare_rates(gv, fit_pr, tol)
+    rep = compare_rates(gv, fit_pr, 0.15)
     inside = gp < fit_pr.rate < gw
-    agree = fits_agree(fit_pr, fit_np, rel_floor=floor)
+    agree = fits_agree(fit_pr, fit_np)
     ok = rep.passed and inside and agree
     return ok, (f"PR fit={fit_pr.rate:.4f} vs gamma_v={gv:.4f} "
-                f"rel_err={rep.rel_error:+.3f} (tol {tol}); inside "
+                f"rel_err={rep.rel_error:+.3f} (tol {rep.tolerance}); inside "
                 f"({gp:.4f}, {gw:.4f})={inside}; NP fit={fit_np.rate:.4f} "
                 f"agree={agree}")
 
 
-def _crit_sample_path_identities(quick: bool) -> Tuple[bool, str]:
-    n = 20_000 if quick else 200_000
+def _crit_sample_path_identities() -> Tuple[bool, str]:
+    n = 200_000
     det = QueueModel(Exponential(0.5), Deterministic(1.0))
     a = run(det, Discipline.FIFO, n, 12345)
     b = run(det, Discipline.SRPT_PR, n, 12345)
@@ -217,7 +207,7 @@ def _crit_sample_path_identities(quick: bool) -> Tuple[bool, str]:
                 f"leaves then: {ok_busy}")
 
 
-def _crit_ystar_curve(quick: bool) -> Tuple[bool, str]:
+def _crit_ystar_curve() -> Tuple[bool, str]:
     rhos = [round(0.05 * j, 2) for j in range(1, 20)]
     probs = []
     for rho in rhos:
@@ -229,7 +219,7 @@ def _crit_ystar_curve(quick: bool) -> Tuple[bool, str]:
                 f"max {peak:.4f} at rho={rhos[probs.index(peak)]}")
 
 
-def _crit_heavy_traffic(quick: bool) -> Tuple[bool, str]:
+def _crit_heavy_traffic() -> Tuple[bool, str]:
     mm1 = QueueModel(Exponential(0.99), Exponential(1.0))
     ht = heavy_traffic(mm1)
     ratio = gamma_w(mm1) / ht.gamma_w_approx
@@ -249,9 +239,9 @@ def _crit_heavy_traffic(quick: bool) -> Tuple[bool, str]:
                 f"{gaps[0]:.6f} > {gaps[1]:.6f} > {gaps[2]:.6f} = {monotone}")
 
 
-def _crit_empirical_psi(quick: bool) -> Tuple[bool, str]:
+def _crit_empirical_psi() -> Tuple[bool, str]:
     model = QueueModel(Exponential(0.5), Exponential(1.0))
-    reps = 500 if quick else 2_000
+    reps = 2_000
     est = cycle_psi(model, 0.25, 500.0, reps, 12345)
     plain = empirical_psi(model, 0.25, 500.0, reps, 12345)
     target = 0.5 * 0.25 / (1.0 - 0.25)
@@ -263,7 +253,7 @@ def _crit_empirical_psi(quick: bool) -> Tuple[bool, str]:
                 f"not gated: it cannot reach the tilted mean at this horizon")
 
 
-CRITERIA: Tuple[Tuple[int, str, float, Callable[[bool], Tuple[bool, str]]], ...] = (
+CRITERIA: Tuple[Tuple[int, str, float, Callable[[], Tuple[bool, str]]], ...] = (
     (1, "mm1-closed-forms", 1.0, _crit_mm1_closed_forms),
     (2, "priority-cross-checks", 1.0, _crit_priority_cross_checks),
     (3, "two-class-ordering", 10.0, _crit_ordering),
@@ -277,13 +267,13 @@ CRITERIA: Tuple[Tuple[int, str, float, Callable[[bool], Tuple[bool, str]]], ...]
 )
 
 
-def run_criterion(number: int, quick: bool = False) -> CriterionResult:
+def run_criterion(number: int) -> CriterionResult:
     for num, name, budget, func in CRITERIA:
         if num == number:
             start = time.perf_counter()
             numerical = False
             try:
-                passed, detail = func(quick)
+                passed, detail = func()
             except NumericalFailure as exc:
                 passed, detail = False, f"numerical failure: {exc}"
                 numerical = True
@@ -297,5 +287,5 @@ def run_criterion(number: int, quick: bool = False) -> CriterionResult:
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_all(quick: bool = False) -> List[CriterionResult]:
-    return [run_criterion(num, quick) for num, _, _, _ in CRITERIA]
+def run_all() -> List[CriterionResult]:
+    return [run_criterion(num) for num, _, _, _ in CRITERIA]

@@ -1,15 +1,16 @@
 """Full-scale acceptance gate: one test per numbered criterion.
 
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line
-per criterion.  Each test executes the criterion at full scale (no quick
-downscaling) and carries the measured detail in its assertion message.
+per criterion.  Each test executes the criterion at the one scale the
+suite has, within its budget, and carries the measured detail in its
+assertion message.
 """
 
 from queuedecay.validate import run_criterion
 
 
 def _check(number):
-    result = run_criterion(number, quick=False)
+    result = run_criterion(number)
     assert result.passed, result.line()
 
 

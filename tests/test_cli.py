@@ -408,8 +408,15 @@ def test_validate_refuses_an_unknown_criterion():
         run_criterion(11)
 
 
+def test_validate_has_one_scale_and_refuses_a_scale_flag(capsys):
+    # the suite runs every criterion at its one size and tolerance, so the
+    # retired downscaling flag is an unknown option, exit 1, with no run
+    code, out = _run(capsys, ["validate", "--quick"])
+    assert code == 1 and out == ""
+
+
 def test_validate_single_criterion_runs():
-    result = run_criterion(1, quick=True)
+    result = run_criterion(1)
     assert result.passed
     assert result.line().startswith("criterion  1")
     assert "PASS" in result.line()
@@ -424,7 +431,7 @@ def test_validate_detects_broken_priority_rates(monkeypatch):
                              s_opt=got.s_opt, a=0.0)
 
     monkeypatch.setattr(queuedecay.validate, "gamma_w2", never_boundary)
-    result = queuedecay.validate.run_criterion(2, quick=True)
+    result = queuedecay.validate.run_criterion(2)
     assert not result.passed
 
 
@@ -440,12 +447,12 @@ def test_validate_detects_a_boundary_rate_off_its_closed_form(monkeypatch):
         return PriorityDecay(rate=got.rate * (1.0 + 1e-9), regime=got.regime,
                              s_opt=got.s_opt, a=got.a)
 
-    assert queuedecay.validate.run_criterion(2, quick=True).passed
+    assert queuedecay.validate.run_criterion(2).passed
     monkeypatch.setattr(queuedecay.validate, "gamma_w2", inflated)
-    assert not queuedecay.validate.run_criterion(2, quick=True).passed
+    assert not queuedecay.validate.run_criterion(2).passed
 
 
-def test_validate_quick_reports_honest_failure(capsys, monkeypatch):
+def test_validate_reports_honest_failure(capsys, monkeypatch):
     # only criterion 2 reads the regime, so exactly that line must fail
     real = queuedecay.validate.gamma_w2
 
@@ -455,10 +462,10 @@ def test_validate_quick_reports_honest_failure(capsys, monkeypatch):
                              s_opt=got.s_opt, a=0.0)
 
     monkeypatch.setattr(queuedecay.validate, "gamma_w2", never_boundary)
-    code, out = _run(capsys, ["validate", "--quick"])
+    code, out = _run(capsys, ["validate"])
     lines = out.strip().splitlines()
     assert len(lines) == 11
-    assert lines[-1] == "passed 9/10 (quick mode)"
+    assert lines[-1] == "passed 9/10"
     assert sum("PASS" in line for line in lines[:-1]) == 9
     assert lines[1].startswith("criterion  2 ")
     assert "FAIL" in lines[1]
@@ -634,21 +641,21 @@ def _stub_criterion(monkeypatch, budget, func):
                         ((1, "stub", budget, func),))
 
 
-def _numerical_failure(quick):
+def _numerical_failure():
     raise NumericalFailure("stub diverged")
 
 
 def test_validate_numerical_failure_exits_3(capsys, monkeypatch):
     _stub_criterion(monkeypatch, 1.0, _numerical_failure)
-    code, out = _run(capsys, ["validate", "--quick"])
+    code, out = _run(capsys, ["validate"])
     assert code == 3
     lines = out.splitlines()
     assert "FAIL" in lines[0] and "numerical failure: stub diverged" in lines[0]
-    assert lines[1] == "passed 0/1 (quick mode)"
+    assert lines[1] == "passed 0/1"
 
 
 def test_validate_criterion_over_its_budget_fails(capsys, monkeypatch):
-    def slow(quick):
+    def slow():
         time.sleep(0.05)
         return True, "ok"
 

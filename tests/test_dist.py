@@ -583,13 +583,15 @@ def test_numpy_float_fields_are_stored_as_floats(doc):
      ValueError, r"weights must lie in \(0, 1\]"),
     (lambda: ConditionedBelow(UniformInterval(0.0, 1.0), 0.5), ValueError,
      "base must be Exponential or Erlang"),
+    (lambda: FiniteMixture(((1.0, "x"),)), ValueError,
+     "component must be a distribution, got 'x'"),
     (lambda: mgf_deriv(Exponential(1.0), 1.0), OutOfDomainError, "abscissa"),
     (lambda: inverse_mgf_neg(Exponential(1.0), 1e-320), OutOfRangeError,
      "too close to the infimum"),
 ], ids=["bool-rate", "bool-shape", "string-value", "int-beyond-floats",
         "bool-cutoff", "string-weight", "string-split-p", "empty-mixture",
-        "zero-weight", "conditioned-uniform", "mgf-deriv-at-the-abscissa",
-        "inverse-below-the-infimum"])
+        "zero-weight", "conditioned-uniform", "string-component",
+        "mgf-deriv-at-the-abscissa", "inverse-below-the-infimum"])
 def test_input_checks_raise_their_messages(call, error, message):
     with pytest.raises(error, match=message):
         call()

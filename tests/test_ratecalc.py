@@ -249,6 +249,26 @@ def test_gamma_v_srpt_dispatch():
     assert gamma_p(ATOM) < atom.rate < gamma_w(ATOM)
 
 
+def _hyperexponential_atom_model(q):
+    # service (1 - q) U(0, 1) + q D(1), of mean (1 + q) / 2, after arrivals
+    # 0.5 Exp(0.25 c) + 0.5 Exp(10 c), with c setting the load to 0.5
+    c = 0.5 * (0.5 / 0.25 + 0.5 / 10.0) / ((1.0 + q) / 2.0)
+    return QueueModel(
+        FiniteMixture(((0.5, Exponential(0.25 * c)), (0.5, Exponential(10.0 * c)))),
+        FiniteMixture(((1.0 - q, UniformInterval(0.0, 1.0)), (q, Deterministic(1.0)))))
+
+
+def test_gamma_v_can_fall_in_q_at_fixed_load_without_poisson_arrivals():
+    # "gamma_v nondecreasing in q" is claimed only at a fixed load with
+    # Poisson arrivals; with these arrivals it falls from q = 0.8 to 0.9
+    low = gamma_v_srpt(_hyperexponential_atom_model(0.8))
+    high = gamma_v_srpt(_hyperexponential_atom_model(0.9))
+    assert low.case == high.case == "atom"
+    assert low.rate == pytest.approx(0.3851809344377697, rel=1e-9)
+    assert high.rate == pytest.approx(0.3839882912845844, rel=1e-9)
+    assert high.rate < low.rate
+
+
 @pytest.mark.parametrize("model", [
     MM1, MD1, ATOM, TWO_ATOM,
     QueueModel(Exponential(1.0), split=Split(0.5, UniformInterval(0.0, 0.5),
@@ -291,8 +311,15 @@ def test_gamma_p_trunc_monotone_to_gamma_p():
      "arrival law has a mean or variance outside the floating-point range"),
     (lambda: heavy_traffic(QueueModel(Exponential(1e-160), Exponential(1.0))),
      "arrival law has a mean or variance outside the floating-point range"),
+    (lambda: QueueModel(Exponential(1.0), FiniteMixture(((1.0, "x"),))),
+     "component must be a distribution, got 'x'"),
+    (lambda: QueueModel("x", Exponential(2.0)), "arrival must be a distribution, got 'x'"),
+    (lambda: QueueModel(Exponential(1.0), 3.0), "service must be a distribution, got 3.0"),
+    (lambda: QueueModel(Exponential(1.0), split=Split(0.5, "x", Exponential(4.0))),
+     "component must be a distribution, got 'x'"),
 ], ids=["no-service", "negative-s", "no-split", "no-arrival", "underflowing-variance",
-        "infinite-variance"])
+        "infinite-variance", "string-mixture-component", "string-arrival", "float-service",
+        "string-class1"])
 def test_input_checks_raise_their_messages(call, message):
     with pytest.raises(ValueError, match=message):
         call()

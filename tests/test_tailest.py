@@ -23,6 +23,7 @@ from queuedecay.dist import (
     stream,
 )
 from queuedecay.ratecalc import QueueModel, Split, gamma_w
+from queuedecay.simqueue import Discipline, cycle_psi, empirical_psi, run, service_bins
 from queuedecay.tailest import (
     DegenerateTailError,
     TailFit,
@@ -170,7 +171,11 @@ def test_fits_agree_overlap_rule():
     assert fits_agree(a, b)
     c = TailFit(1.20, 0.001, (0.0, 1.0), 600)
     assert not fits_agree(a, c)
-    assert fits_agree(a, c, rel_floor=0.12)
+    # with 4 se below the floor, 2 percent of each rate decides: 1.02 meets
+    # 1.04 - 0.0208 and misses 1.042 - 0.02084
+    sharp = TailFit(1.00, 0.001, (0.0, 1.0), 600)
+    assert fits_agree(sharp, TailFit(1.04, 0.001, (0.0, 1.0), 600))
+    assert not fits_agree(sharp, TailFit(1.042, 0.001, (0.0, 1.0), 600))
 
 
 def _atom_at_zero():
@@ -492,6 +497,30 @@ def test_is_workload_tail_rejects_a_bad_replication_count(monkeypatch, replicati
     monkeypatch.setattr(tailest, "tilt_measure", no_tilt)
     with pytest.raises(ValueError, match="integer"):
         is_workload_tail(MM1, 2.0, replications, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run(MM1, Discipline.FIFO, 100, 1, warmup_fraction="0.2"),
+     "warmup_fraction must be a finite number, got '0.2'"),
+    (lambda: fit_decay(np.arange(1000.0), lo_quantile="0.99"),
+     "lo_quantile must be a finite number, got '0.99'"),
+    (lambda: is_workload_tail(MM1, "5", 10, 1), "x must be a finite number, got '5'"),
+    (lambda: is_workload_tail(MM1, True, 10, 1), "x must be a finite number, got True"),
+    (lambda: cycle_psi(MM1, "0.25", 10.0, 5, 1), "s must be a finite number, got '0.25'"),
+    (lambda: cycle_psi(MM1, 0.25, "10", 5, 1), "horizon must be a finite number, got '10'"),
+    (lambda: empirical_psi(MM1, None, 10.0, 5, 1), "s must be a finite number, got None"),
+    (lambda: empirical_psi(MM1, 0.25, None, 5, 1),
+     "horizon must be a finite number, got None"),
+    (lambda: service_bins(run(MM1, Discipline.FIFO, 100, 1), "0.5"),
+     "width must be a finite number, got '0.5'"),
+], ids=["warmup-string", "lo-quantile-string", "level-string", "level-bool",
+        "cycle-s-string", "cycle-horizon-string", "plain-s-none", "plain-horizon-none",
+        "width-string"])
+def test_estimator_float_arguments_refuse_what_is_not_a_number(call, message):
+    # as counts do through dist._count, with a ValueError rather than the
+    # TypeError of a comparison or product on a string or None
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_is_workload_tail_accepts_a_numpy_integer_count():
