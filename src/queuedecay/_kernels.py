@@ -57,12 +57,10 @@ def load():
     try:
         cc = compiler()
         path = library_path(cc)
-        if os.path.exists(path):
-            try:
-                return Kernels(ctypes.CDLL(path))
-            except OSError:
-                pass  # a stale or partial file: _build replaces it
-        _build(cc, path)
+        try:
+            return Kernels(ctypes.CDLL(path))
+        except OSError:     # a missing, stale or partial file: build it anew
+            _build(cc, path)
         return Kernels(ctypes.CDLL(path))
     except (OSError, subprocess.SubprocessError):
         return None

@@ -612,7 +612,12 @@ def _mixture_draw(weights, draws, rng: np.random.Generator, n: int) -> np.ndarra
     idx = np.zeros(n, dtype=np.intp)
     for c in np.cumsum(weights)[:-1].tolist():
         idx += u >= c
-    out = np.empty(n, dtype=np.float64)
+    return _fill(idx, draws, rng)
+
+
+def _fill(idx: np.ndarray, draws, rng: np.random.Generator) -> np.ndarray:
+    """One block draws[j](rng, count) at the places idx == j, for each j in order."""
+    out = np.empty(len(idx), dtype=np.float64)
     for j, draw in enumerate(draws):
         mask = idx == j
         cnt = int(mask.sum())

@@ -52,7 +52,8 @@ _DOMAIN_MARGIN = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class Split:
-    """Two-class decomposition: class 1 with probability p, else class 2."""
+    """Two-class decomposition: class 1 with probability p, else class 2;
+    ``service``, not a field, is the mixture p * class1 + (1-p) * class2."""
     p: float
     class1: DistributionSpec
     class2: DistributionSpec
@@ -61,14 +62,16 @@ class Split:
         object.__setattr__(self, "p", _real("p", self.p))
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly inside (0, 1)")
+        object.__setattr__(self, "service", FiniteMixture(
+            ((self.p, self.class1), (1.0 - self.p, self.class2))))
 
 
 @dataclass(frozen=True)
 class QueueModel:
     """One arrival law plus a service law or a two-class split.
 
-    With a split, the full-system service law is always the mixture
-    p * class1 + (1-p) * class2 and is derived automatically.
+    With a split, the full-system service law is always the split's
+    mixture ``split.service`` and is derived automatically.
     Construction enforces means and variances in the float range,
     stability (load below one) and that service can exceed an
     inter-arrival time at all.
@@ -80,11 +83,9 @@ class QueueModel:
 
     def __post_init__(self):
         if self.split is not None:
-            mix = FiniteMixture(((self.split.p, self.split.class1),
-                                 (1.0 - self.split.p, self.split.class2)))
             if self.service is None:
-                object.__setattr__(self, "service", mix)
-            elif self.service != mix:
+                object.__setattr__(self, "service", self.split.service)
+            elif self.service != self.split.service:
                 raise ValueError("explicit service law must match the split mixture")
         if self.service is None:
             raise ValueError("provide a service law or a split")
@@ -231,9 +232,7 @@ def _class1_service(p: float, class1: DistributionSpec) -> DistributionSpec:
     # equation Phi_A1(-u) Phi_B1(s) = 1 is Phi_A(-u) (p Phi_B1(s) + 1 - p) = 1;
     # p rounds to 1 when an endpoint atom's mass is at most 2^-54, and the
     # thinned stream is then the whole stream
-    if p == 1.0:
-        return class1
-    return FiniteMixture(((p, class1), (1.0 - p, Deterministic(0.0))))
+    return class1 if p == 1.0 else Split(p, class1, Deterministic(0.0)).service
 
 
 def gamma_w_detail(model: QueueModel) -> Tuple[float, bool]:

@@ -37,7 +37,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .dist import (_count, _doublings, _first_passage, _real, _stream_run,
+from .dist import (_count, _doublings, _fill, _first_passage, _real, _stream_run,
                    _value, find_root, sample_array, stream)
 from .ratecalc import NumericalFailure, QueueModel
 
@@ -145,14 +145,10 @@ def _streams(model: QueueModel, n: int, seed: int) -> Tuple[np.ndarray, ...]:
     interarrival = sample_array(model.arrival, stream(seed, 0), n)
     arrival = np.cumsum(interarrival)
     if model.split is not None:
-        marks = stream(seed, 1).random(n)
-        cls = np.where(marks < model.split.p, 1, 2).astype(np.int8)
-        svc_rng = stream(seed, 2)
-        service = np.empty(n, dtype=np.float64)
-        one = cls == 1
-        count1 = int(one.sum())
-        service[one] = sample_array(model.split.class1, svc_rng, count1)
-        service[~one] = sample_array(model.split.class2, svc_rng, n - count1)
+        idx = stream(seed, 1).random(n) >= model.split.p
+        cls = (idx + 1).astype(np.int8)
+        service = _fill(idx, [functools.partial(sample_array, law) for law in
+                              (model.split.class1, model.split.class2)], stream(seed, 2))
     else:
         cls = np.zeros(n, dtype=np.int8)
         service = sample_array(model.service, stream(seed, 2), n)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -258,6 +259,32 @@ def _hyperexponential_atom_model(q):
         FiniteMixture(((1.0 - q, UniformInterval(0.0, 1.0)), (q, Deterministic(1.0)))))
 
 
+def _endpoint_atom_service(q, lo, hi):
+    # (1 - q) U(lo, hi) + q D(hi), the atom at the endpoint hi
+    if q == 0.0:
+        return UniformInterval(lo, hi)
+    if q == 1.0:
+        return Deterministic(hi)
+    return FiniteMixture(((1.0 - q, UniformInterval(lo, hi)), (q, Deterministic(hi))))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gamma_v_nondecreasing_in_q_at_fixed_load_with_poisson_arrivals(seed):
+    # the claim as stated: Poisson arrivals, the load held fixed while the
+    # endpoint atom's mass q grows; validate's criterion 4 lets the load
+    # rise with q instead
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, 2)).tolist()
+    rho = float(rng.uniform(0.2, 0.9))
+    rates = []
+    for q in [k / 10 for k in range(11)]:
+        service = _endpoint_atom_service(q, lo, hi)
+        model = QueueModel(Exponential(rho / dist.moments(service)[0]), service)
+        assert model.rho == pytest.approx(rho, rel=1e-12)
+        rates.append(gamma_v_srpt(model).rate)
+    assert all(a <= b for a, b in zip(rates, rates[1:])), rates
+
+
 def test_gamma_v_can_fall_in_q_at_fixed_load_without_poisson_arrivals():
     # "gamma_v nondecreasing in q" is claimed only at a fixed load with
     # Poisson arrivals; with these arrivals it falls from q = 0.8 to 0.9
@@ -317,9 +344,10 @@ def test_gamma_p_trunc_monotone_to_gamma_p():
     (lambda: QueueModel(Exponential(1.0), 3.0), "service must be a distribution, got 3.0"),
     (lambda: QueueModel(Exponential(1.0), split=Split(0.5, "x", Exponential(4.0))),
      "component must be a distribution, got 'x'"),
+    (lambda: Split(0.5, "x", Exponential(1.0)), "component must be a distribution, got 'x'"),
 ], ids=["no-service", "negative-s", "no-split", "no-arrival", "underflowing-variance",
         "infinite-variance", "string-mixture-component", "string-arrival", "float-service",
-        "string-class1"])
+        "string-class1", "string-class1-split-alone"])
 def test_input_checks_raise_their_messages(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -444,6 +472,17 @@ def test_split_model_derives_service_mixture():
     weights = [w for w, _ in model.service.components]
     assert weights == pytest.approx([0.25, 0.75])
     assert model.rho == pytest.approx(1.0 * (0.25 * 0.5 + 0.75 * 0.5))
+
+
+def test_split_service_stays_outside_the_fields():
+    a = Split(0.25, Exponential(2.0), Deterministic(0.5))
+    b = Split(0.25, Exponential(2.0), Deterministic(0.5))
+    assert a.service == FiniteMixture(((0.25, Exponential(2.0)),
+                                       (0.75, Deterministic(0.5))))
+    assert a == b and hash(a) == hash(b) and a.service is not b.service
+    assert "service" not in repr(a)
+    assert dataclasses.asdict(a).keys() == {"p", "class1", "class2"}
+    assert QueueModel(Exponential(1.0), split=a).service is a.service
 
 
 def test_rates_work_with_erlang_and_conditioned_laws():

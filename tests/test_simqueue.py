@@ -435,6 +435,22 @@ def test_stream_memo_is_keyed_on_model_n_and_seed():
     assert _streams.cache_info().hits == 1
 
 
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (50, 3), (2000, 4)])
+def test_split_streams_draw_marks_then_one_block_per_class(n, seed):
+    # at n = 1, seed 0 leaves the class-1 block empty and seed 1 the class-2 one
+    split = Split(0.5, UniformInterval(0.0, 0.5), Erlang(2, 1.5))
+    _, service, cls = _fresh(QueueModel(Exponential(1.0), split=split), n, seed)[:3]
+    assert cls.dtype == np.int8
+    assert np.array_equal(cls, np.where(stream(seed, 1).random(n) < split.p, 1, 2))
+    one = cls == 1
+    n1 = int(one.sum())
+    if n == 1:
+        assert n1 == seed
+    rng = stream(seed, 2)
+    assert np.array_equal(service[one], sample_array(split.class1, rng, n1))
+    assert np.array_equal(service[~one], sample_array(split.class2, rng, n - n1))
+
+
 def test_coupled_runs_share_read_only_streams():
     outs = [run(SPLIT, d, 3000, 5) for d in Discipline]
     for out in outs[1:]:
